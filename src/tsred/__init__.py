@@ -11,6 +11,7 @@ from .bench import ALGORITHMS, BenchCell, BenchSummary, bench_suite, render_tabl
 from .core import (
     Instance,
     InvalidInstanceError,
+    ParameterError,
     Requirement,
     Solution,
     Violation,
@@ -70,6 +71,7 @@ __all__ = [
     "LinguisticVariable",
     "OPERATORS",
     "OracleResult",
+    "ParameterError",
     "ParseError",
     "Requirement",
     "Rule",

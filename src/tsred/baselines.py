@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, Solution, decode, objective
-from .fis import _two_positions, swap_at
+from .core import Instance, ParameterError, Solution, decode, objective, swap_at, two_positions
 
 
 def greedy_ge(instance: Instance) -> list[int]:
@@ -169,9 +168,9 @@ class SAParams:
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
+            raise ParameterError("alpha must lie strictly between 0 and 1")
         if self.t_final < 0.0 or self.t_initial <= self.t_final:
-            raise ValueError("need t_initial > t_final >= 0")
+            raise ParameterError("need t_initial > t_final >= 0")
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,7 @@ def simulated_annealing(instance: Instance, params: SAParams | None = None) -> S
     history: list[int] = []
     while temperature > stop:
         if n >= 2:
-            candidate = swap_at(current, *_two_positions(rng, n))
+            candidate = swap_at(current, *two_positions(rng, n))
             cand_obj = objective(instance, candidate)
             delta = cand_obj - current_obj
             if delta <= 0 or rng.random() < math.exp(-delta / temperature):

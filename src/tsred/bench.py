@@ -6,52 +6,62 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .baselines import SAParams, SAResult, greedy_ge, greedy_gre, hgs, simulated_annealing
-from .core import Instance, is_cover, reduction_percent
+from .baselines import SAParams, greedy_ge, greedy_gre, hgs, simulated_annealing
+from .core import Instance, ParameterError, is_cover, reduction_percent
 from .corpus import builtin, builtin_names
 from .fis import FISConfig, run_fis
 from .fuzzy import RuleBase
 from .io import RunReport, RunResult
 from .oracle import minimum_cover
 
-ALGORITHMS = ("fis", "sa", "ge", "gre", "hgs")
+
+def _config(cls, seed: int, params: dict):
+    """A `cls` built from `seed` and those `params` that are fields of it."""
+    names = {f.name for f in fields(cls)}
+    return cls(seed=seed, **{k: v for k, v in params.items() if k in names})
 
 
-def run_algorithm(
-    instance: Instance,
-    algorithm: str,
-    seed: int = 0,
-    *,
-    population: int = 20,
-    iterations: int = 100,
-    alpha: float = 0.990,
-    t_initial: float = 2984.975,
-    rule_base: RuleBase | None = None,
-) -> tuple[str, ...]:
+def _fis(instance: Instance, seed: int, params: dict):
+    return run_fis(instance, _config(FISConfig, seed, params)).solution.selected
+
+
+def _sa(instance: Instance, seed: int, params: dict):
+    return simulated_annealing(instance, _config(SAParams, seed, params)).solution.selected
+
+
+# Algorithm name -> solver(instance, seed, params) returning selected test
+# indices.  Reducers are looked up as module globals at call time, so
+# replacing one here (to trace or observe it) takes effect.
+SOLVERS = {
+    "fis": _fis,
+    "sa": _sa,
+    "ge": lambda instance, seed, params: greedy_ge(instance),
+    "gre": lambda instance, seed, params: greedy_gre(instance),
+    "hgs": lambda instance, seed, params: hgs(instance),
+}
+ALGORITHMS = tuple(SOLVERS)
+# Solver settings a run accepts: the fields of FISConfig and SAParams bar the seed.
+SETTINGS = frozenset(f.name for cls in (FISConfig, SAParams) for f in fields(cls)) - {"seed"}
+
+
+def run_algorithm(instance: Instance, algorithm: str, seed: int = 0, **params) -> tuple[str, ...]:
     """One run of a reducer; returns selected test ids in selection order.
+
+    `params` are solver settings named as the fields of FISConfig and
+    SAParams; each solver takes those of its own config and ignores the
+    rest, and an unset one keeps its config default.
 
     Every result is re-checked with is_cover before it is handed back, so a
     broken reducer fails loudly instead of producing a bogus report.
     """
-    if algorithm == "fis":
-        cfg = FISConfig(
-            population_size=population, max_iterations=iterations, seed=seed, rule_base=rule_base
-        )
-        selected = run_fis(instance, cfg).solution.selected
-    elif algorithm == "sa":
-        params = SAParams(alpha=alpha, t_initial=t_initial, seed=seed)
-        result: SAResult = simulated_annealing(instance, params)
-        selected = result.solution.selected
-    elif algorithm == "ge":
-        selected = tuple(greedy_ge(instance))
-    elif algorithm == "gre":
-        selected = tuple(greedy_gre(instance))
-    elif algorithm == "hgs":
-        selected = tuple(hgs(instance))
-    else:
+    unknown = params.keys() - SETTINGS
+    if unknown:
+        raise TypeError(f"unknown solver settings: {', '.join(sorted(unknown))}")
+    if algorithm not in SOLVERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    selected = SOLVERS[algorithm](instance, seed, params)
     if not is_cover(instance, selected):
         raise AssertionError(f"{algorithm} returned a non-covering selection")
     return instance.ids(selected)
@@ -63,30 +73,18 @@ def solve_report(
     seed: int = 0,
     runs: int = 1,
     *,
-    population: int = 20,
-    iterations: int = 100,
-    alpha: float = 0.990,
-    t_initial: float = 2984.975,
-    rule_base: RuleBase | None = None,
     clock=time.perf_counter,
+    **params,
 ) -> RunReport:
     """Repeated runs as a verifiable report.  Run k of K uses seed + k
-    (0-based), so a K-run report at seed s covers seeds s .. s+K-1."""
+    (0-based), so a K-run report at seed s covers seeds s .. s+K-1.
+    `params` go to run_algorithm."""
     if runs < 1:
-        raise ValueError("runs must be positive")
+        raise ParameterError("runs must be positive")
     results = []
     for k in range(runs):
         t0 = clock()
-        selected = run_algorithm(
-            instance,
-            algorithm,
-            seed + k,
-            population=population,
-            iterations=iterations,
-            alpha=alpha,
-            t_initial=t_initial,
-            rule_base=rule_base,
-        )
+        selected = run_algorithm(instance, algorithm, seed + k, **params)
         t1 = clock()
         results.append(
             RunResult(selected=selected, size=len(selected), millis=round((t1 - t0) * 1000.0, 3))

@@ -11,9 +11,11 @@ import os
 import sys
 from pathlib import Path
 
-from .bench import ALGORITHMS, bench_suite, render_tables, solve_report, summary_json
-from .core import Instance, InvalidInstanceError, is_cover, reduction_percent
+from .baselines import SAParams
+from .bench import ALGORITHMS, SETTINGS, bench_suite, render_tables, solve_report, summary_json
+from .core import Instance, InvalidInstanceError, ParameterError, is_cover, reduction_percent
 from .corpus import UnknownBenchmarkError, builtin_names, builtin_document
+from .fis import FISConfig
 from .fuzzy import FuzzyDomainError, RuleBase, load_rule_base
 from .io import ParseError, write_report
 from .oracle import TooLargeError, enumerate_minimum_covers, minimum_cover
@@ -69,17 +71,14 @@ def _emit(text: str, output: str | None) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    rule_base = _rule_base_from_env()
+    settings = {k: v for k, v in vars(args).items() if k in SETTINGS}
     report = solve_report(
         instance,
         args.algorithm,
         seed=args.seed,
         runs=args.runs,
-        population=args.population,
-        iterations=args.iterations,
-        alpha=args.alpha,
-        t_initial=args.t_initial,
-        rule_base=rule_base,
+        rule_base=_rule_base_from_env(),
+        **settings,
     )
     _emit(write_report(report, instance), args.output)
     return EXIT_OK
@@ -156,10 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algorithm", choices=ALGORITHMS, default="fis")
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--runs", type=int, default=1)
-    p_solve.add_argument("--population", type=int, default=20)
-    p_solve.add_argument("--iterations", type=int, default=100)
-    p_solve.add_argument("--alpha", type=float, default=0.990)
-    p_solve.add_argument("--t-initial", type=float, default=2984.975)
+    p_solve.add_argument(
+        "--population", dest="population_size", type=int, default=FISConfig.population_size
+    )
+    p_solve.add_argument(
+        "--iterations", dest="max_iterations", type=int, default=FISConfig.max_iterations
+    )
+    p_solve.add_argument("--alpha", type=float, default=SAParams.alpha)
+    p_solve.add_argument("--t-initial", type=float, default=SAParams.t_initial)
     p_solve.add_argument("--output", help="write the report here instead of stdout")
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -191,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _InstanceError as exc:

@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -29,6 +31,10 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.kind}({self.subject})"
+
+
+class ParameterError(ValueError):
+    """A run parameter (solver setting, run count, enumeration cap) is out of range."""
 
 
 class InvalidInstanceError(ValueError):
@@ -182,6 +188,21 @@ def decode(instance: Instance, permutation: Sequence[int]) -> Solution:
         raise ValueError(f"expected a permutation of all {instance.n} test indices")
     prefix_len = objective(instance, perm)
     return Solution(perm, prefix_len, perm[:prefix_len])
+
+
+def swap_at(p: Sequence[int], i: int, j: int) -> tuple[int, ...]:
+    q = list(p)
+    q[i], q[j] = q[j], q[i]
+    return tuple(q)
+
+
+def two_positions(rng: np.random.Generator, n: int) -> tuple[int, int]:
+    """Two distinct positions below n: i uniform, then j uniform among the rest."""
+    i = int(rng.integers(n))
+    j = int(rng.integers(n - 1))
+    if j >= i:
+        j += 1
+    return i, j
 
 
 class Reduction(NamedTuple):

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Instance, Solution, decode, objective
+from .core import Instance, ParameterError, Solution, decode, objective, swap_at, two_positions
 from .fuzzy import RuleBase, default_rule_base, infer
 
 OPERATORS: tuple[str, ...] = ("swap", "insertion", "reversal", "crossover")
@@ -55,12 +55,6 @@ def measure_intensification(x: Sequence[int], best: Sequence[int]) -> float:
     return 1.0 - hamming(x, best)
 
 
-def swap_at(p: Sequence[int], i: int, j: int) -> tuple[int, ...]:
-    q = list(p)
-    q[i], q[j] = q[j], q[i]
-    return tuple(q)
-
-
 def insert_at(p: Sequence[int], src: int, dst: int) -> tuple[int, ...]:
     """Remove the entry at src and reinsert it at dst."""
     q = list(p)
@@ -82,14 +76,6 @@ def order_crossover(p: Sequence[int], mate: Sequence[int], i: int, j: int) -> tu
     return tuple(rest[:i]) + segment + tuple(rest[i:])
 
 
-def _two_positions(rng: np.random.Generator, n: int) -> tuple[int, int]:
-    i = int(rng.integers(n))
-    j = int(rng.integers(n - 1))
-    if j >= i:
-        j += 1
-    return i, j
-
-
 def apply_operator(
     op: str, p: Sequence[int], mate: Sequence[int], rng: np.random.Generator
 ) -> tuple[int, ...]:
@@ -98,14 +84,14 @@ def apply_operator(
     if n < 2:
         return tuple(p)
     if op == "swap":
-        return swap_at(p, *_two_positions(rng, n))
+        return swap_at(p, *two_positions(rng, n))
     if op == "insertion":
         return insert_at(p, int(rng.integers(n)), int(rng.integers(n)))
     if op == "reversal":
-        i, j = sorted(_two_positions(rng, n))
+        i, j = sorted(two_positions(rng, n))
         return reverse_segment(p, i, j)
     if op == "crossover":
-        i, j = sorted(_two_positions(rng, n))
+        i, j = sorted(two_positions(rng, n))
         return order_crossover(p, mate, i, j)
     raise ValueError(f"unknown operator: {op!r}")
 
@@ -148,9 +134,9 @@ class FISConfig:
 
     def __post_init__(self):
         if self.population_size < 2:
-            raise ValueError("population_size must be at least 2")
+            raise ParameterError("population_size must be at least 2")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+            raise ParameterError("max_iterations must be at least 1")
 
 
 @dataclass(frozen=True)

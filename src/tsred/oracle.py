@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance
+from .core import Instance, ParameterError
 
 MAX_TESTS = 64
 _INF = 1 << 30
@@ -76,21 +76,22 @@ def _branch_requirement(req_masks: list[int], uncovered: int, allowed: int) -> i
     return best_i
 
 
-def minimum_cover(instance: Instance) -> OracleResult:
-    """Size and one witness of a minimum cover."""
-    _check_size(instance)
-    masks = instance.test_masks
-    full = instance.full_mask
-    req_masks = _candidate_masks(instance)
-    all_tests = (1 << instance.n) - 1
+def _reduce(
+    instance: Instance, req_masks: list[int], drop_tests: bool
+) -> tuple[set[int], int, int]:
+    """Preprocess to a fixpoint: forced picks, dominated tests (only when
+    `drop_tests`), dominated requirements.
 
-    # Preprocessing to a fixpoint: forced picks, dominated tests, dominated
-    # requirements.  Test dominance is safe here because only one optimal
-    # cover is required.
-    forced: set[int] = set()
+    Returns (forced, uncovered, allowed): the tests every cover must
+    contain, and as bitmasks the requirements they leave open after
+    dominance and the tests the search may still pick.  Test dominance keeps at least one
+    optimum but can discard alternative ones, so enumeration turns it off.
+    """
+    masks = instance.test_masks
+    forced = 0
     covered = 0
-    allowed = all_tests
-    active_reqs = full
+    allowed = (1 << instance.n) - 1
+    active_reqs = instance.full_mask
     changed = True
     while changed:
         changed = False
@@ -99,27 +100,27 @@ def minimum_cover(instance: Instance) -> OracleResult:
             i = (rest & -rest).bit_length() - 1
             rest &= rest - 1
             cands = req_masks[i] & allowed
-            if cands.bit_count() == 1:
-                t = cands.bit_length() - 1
-                forced.add(t)
-                covered |= masks[t]
+            if cands.bit_count() == 1 and not cands & forced:
+                forced |= cands
+                covered |= masks[cands.bit_length() - 1]
                 changed = True
-        rest = allowed & ~_forced_mask(forced)
-        while rest:
-            t = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            ut = masks[t] & active_reqs & ~covered
-            other = allowed & ~(1 << t) & ~_forced_mask(forced)
-            while other:
-                u = (other & -other).bit_length() - 1
-                other &= other - 1
-                uu = masks[u] & active_reqs & ~covered
-                if ut & ~uu:
-                    continue
-                if ut != uu or u < t:
-                    allowed &= ~(1 << t)
-                    changed = True
-                    break
+        if drop_tests:
+            rest = allowed & ~forced
+            while rest:
+                t = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                ut = masks[t] & active_reqs & ~covered
+                other = allowed & ~(1 << t) & ~forced
+                while other:
+                    u = (other & -other).bit_length() - 1
+                    other &= other - 1
+                    uu = masks[u] & active_reqs & ~covered
+                    if ut & ~uu:
+                        continue
+                    if ut != uu or u < t:
+                        allowed &= ~(1 << t)
+                        changed = True
+                        break
         rest = active_reqs & ~covered
         while rest:
             i = (rest & -rest).bit_length() - 1
@@ -137,130 +138,79 @@ def minimum_cover(instance: Instance) -> OracleResult:
                     active_reqs &= ~(1 << i)
                     changed = True
                     break
+    forced_tests = {t for t in range(instance.n) if forced >> t & 1}
+    return forced_tests, active_reqs & ~covered, allowed
 
-    uncovered0 = active_reqs & ~covered
-    best_set = _greedy_cover(masks, req_masks, uncovered0, allowed) | forced
-    best_size = len(best_set)
 
-    def search(uncovered: int, chosen: set[int], allowed: int) -> None:
-        nonlocal best_set, best_size
-        if not uncovered:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best_set = set(chosen)
-            return
-        lb = _lower_bound(req_masks, uncovered, allowed)
-        if len(chosen) + lb >= best_size:
-            return
-        i = _branch_requirement(req_masks, uncovered, allowed)
-        cands = req_masks[i] & allowed
-        banned = 0
-        while cands:
-            t = (cands & -cands).bit_length() - 1
-            cands &= cands - 1
-            chosen.add(t)
-            search(uncovered & ~masks[t], chosen, allowed & ~banned)
-            chosen.remove(t)
-            banned |= 1 << t  # later branches must cover i without t
-        return
+def _search(
+    masks, req_masks, uncovered: int, chosen: set[int], allowed: int, limit: int, leaf
+) -> int:
+    """Branch and bound over covers of at most `limit` tests.
 
-    search(uncovered0, set(forced), allowed)
-    witness = frozenset(best_set)
-    return OracleResult(minimum_size=best_size, witness=witness)
+    `leaf(chosen)` is called on each such cover and returns the new limit;
+    a negative limit ends the search.  Returns the limit in force on exit.
+    """
+    if not uncovered:
+        # a sibling may have tightened the limit since this branch began
+        return leaf(chosen) if len(chosen) <= limit else limit
+    if len(chosen) + _lower_bound(req_masks, uncovered, allowed) > limit:
+        return limit
+    i = _branch_requirement(req_masks, uncovered, allowed)
+    cands = req_masks[i] & allowed
+    banned = 0
+    while cands:
+        t = (cands & -cands).bit_length() - 1
+        cands &= cands - 1
+        chosen.add(t)
+        limit = _search(
+            masks, req_masks, uncovered & ~masks[t], chosen, allowed & ~banned, limit, leaf
+        )
+        chosen.remove(t)
+        banned |= 1 << t  # later branches must cover i without t
+    return limit
+
+
+def minimum_cover(instance: Instance) -> OracleResult:
+    """Size and one witness of a minimum cover."""
+    _check_size(instance)
+    masks = instance.test_masks
+    req_masks = _candidate_masks(instance)
+    forced, uncovered, allowed = _reduce(instance, req_masks, drop_tests=True)
+    best = _greedy_cover(masks, req_masks, uncovered, allowed) | forced
+
+    def improve(chosen: set[int]) -> int:
+        nonlocal best
+        best = set(chosen)
+        return len(best) - 1
+
+    _search(masks, req_masks, uncovered, forced, allowed, len(best) - 1, improve)
+    return OracleResult(minimum_size=len(best), witness=frozenset(best))
 
 
 def enumerate_minimum_covers(instance: Instance, cap: int = 1000) -> OracleResult:
-    """All minimum covers, lexicographically sorted, up to `cap` of them.
-
-    Test dominance is deliberately skipped: a dominated test can still be
-    part of an alternative optimum.  Forced picks and requirement dominance
-    preserve the full set of optima.
-    """
+    """All minimum covers, lexicographically sorted, up to `cap` of them."""
     if cap < 1:
-        raise ValueError("cap must be positive")
+        raise ParameterError("cap must be positive")
     _check_size(instance)
     k = minimum_cover(instance).minimum_size
     masks = instance.test_masks
-    full = instance.full_mask
     req_masks = _candidate_masks(instance)
-    all_tests = (1 << instance.n) - 1
-
-    forced: set[int] = set()
-    covered = 0
-    active_reqs = full
-    changed = True
-    while changed:
-        changed = False
-        rest = active_reqs & ~covered
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            cands = req_masks[i]
-            if cands.bit_count() == 1:
-                t = cands.bit_length() - 1
-                if t not in forced:
-                    forced.add(t)
-                    covered |= masks[t]
-                    changed = True
-        rest = active_reqs & ~covered
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            ci = req_masks[i]
-            other = active_reqs & ~covered & ~(1 << i)
-            while other:
-                j = (other & -other).bit_length() - 1
-                other &= other - 1
-                cj = req_masks[j]
-                if cj & ~ci:
-                    continue
-                if ci != cj or j < i:
-                    active_reqs &= ~(1 << i)
-                    changed = True
-                    break
-
+    forced, uncovered, allowed = _reduce(instance, req_masks, drop_tests=False)
     found: list[tuple[int, ...]] = []
-    hit_cap = False
 
-    def search(uncovered: int, chosen: set[int], allowed: int) -> None:
-        nonlocal hit_cap
-        if hit_cap:
-            return
-        if not uncovered:
-            if len(chosen) == k:
-                found.append(tuple(sorted(chosen)))
-                if len(found) >= cap:
-                    hit_cap = True
-            return
-        lb = _lower_bound(req_masks, uncovered, allowed)
-        if len(chosen) + lb > k:
-            return
-        i = _branch_requirement(req_masks, uncovered, allowed)
-        cands = req_masks[i] & allowed
-        banned = 0
-        while cands:
-            t = (cands & -cands).bit_length() - 1
-            cands &= cands - 1
-            chosen.add(t)
-            search(uncovered & ~masks[t], chosen, allowed & ~banned)
-            chosen.remove(t)
-            banned |= 1 << t
+    def record(chosen: set[int]) -> int:
+        # no cover is smaller than k, so every leaf within the limit has size k
+        found.append(tuple(sorted(chosen)))
+        return -1 if len(found) >= cap else k
 
-    search(active_reqs & ~covered, set(forced), all_tests)
+    complete = _search(masks, req_masks, uncovered, forced, allowed, k, record) >= 0
     covers = tuple(frozenset(c) for c in sorted(found))
     return OracleResult(
         minimum_size=k,
         witness=covers[0] if covers else frozenset(),
         covers=covers,
-        complete=not hit_cap,
+        complete=complete,
     )
-
-
-def _forced_mask(forced: set[int]) -> int:
-    mask = 0
-    for t in forced:
-        mask |= 1 << t
-    return mask
 
 
 def _greedy_cover(masks, req_masks, uncovered: int, allowed: int) -> set[int]:

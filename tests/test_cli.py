@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from tsred import parse_report, write_instance
 from tsred.cli import main
 from tsred.corpus import builtin_document
@@ -62,6 +64,23 @@ def test_solve_rejects_unknown_algorithm(capsys):
     capsys.readouterr()
     assert code == 2
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--instance", EXP1, "--runs", "0"),
+        ("solve", "--instance", EXP1, "--population", "1"),
+        ("solve", "--instance", EXP1, "--algorithm", "sa", "--alpha", "1.5"),
+        ("oracle", "--instance", EXP1, "--enumerate", "--cap", "0"),
+        ("bench", "--runs", "0"),
+    ],
+)
+def test_out_of_range_setting_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 def test_missing_subcommand_is_usage_error(capsys):
     code = main([])

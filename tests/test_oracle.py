@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,3 +148,54 @@ def test_enumeration_matches_brute_force(seed):
     res = enumerate_minimum_covers(inst, cap=100000)
     assert res.complete
     assert set(res.covers) == set(brute_minimum_covers(inst))
+
+
+def sparse_instance(seed: int):
+    """20-64 tests, n to 2n requirements of 2-6 candidates each: too many
+    tests for brute force, sparse enough that the search does real work."""
+    rng = random.Random(seed)
+    n = rng.randint(20, 64)
+    tests = [f"t{j}" for j in range(n)]
+    requirements = [
+        (f"r{i}", rng.sample(tests, rng.randint(2, 6))) for i in range(rng.randint(n, 2 * n))
+    ]
+    return validate_instance(f"sparse-{seed}", tests, requirements)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_minimum_and_enumeration_agree_beyond_brute_force(seed):
+    inst = sparse_instance(seed)
+    best = minimum_cover(inst)
+    res = enumerate_minimum_covers(inst)
+    k = best.minimum_size
+    assert res.minimum_size == k
+    assert covers_naive(inst, best.witness)
+    assert len(best.witness) == k
+    assert res.covers
+    assert len(set(res.covers)) == len(res.covers)
+    for cover in res.covers:
+        assert len(cover) == k
+        assert covers_naive(inst, cover)
+        # irredundant: every test is the only pick for some requirement
+        assert all(not covers_naive(inst, cover - {t}) for t in cover)
+    if res.complete:
+        assert best.witness in res.covers
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_minimum_matches_integer_program(seed):
+    milp = pytest.importorskip("scipy.optimize").milp
+    from scipy.optimize import Bounds, LinearConstraint
+
+    inst = sparse_instance(seed)
+    rows = np.zeros((inst.m, inst.n))
+    for i, req in enumerate(inst.requirements):
+        rows[i, list(req.candidates)] = 1
+    ilp = milp(
+        np.ones(inst.n),
+        constraints=LinearConstraint(rows, lb=1),
+        integrality=np.ones(inst.n),
+        bounds=Bounds(0, 1),
+    )
+    assert ilp.success
+    assert minimum_cover(inst).minimum_size == round(ilp.fun)
