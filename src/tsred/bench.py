@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 
 from .baselines import SAParams, greedy_ge, greedy_gre, hgs, simulated_annealing
 from .core import Instance, ParameterError, is_cover, reduction_percent
@@ -17,51 +17,46 @@ from .io import RunReport, RunResult
 from .oracle import minimum_cover
 
 
-def _config(cls, seed: int, params: dict):
-    """A `cls` built from `seed` and those `params` that are fields of it."""
-    names = {f.name for f in fields(cls)}
-    return cls(seed=seed, **{k: v for k, v in params.items() if k in names})
+def _fis(instance: Instance, seed: int, fis_config: FISConfig, sa_params: SAParams):
+    return run_fis(instance, replace(fis_config, seed=seed)).solution.selected
 
 
-def _fis(instance: Instance, seed: int, params: dict):
-    return run_fis(instance, _config(FISConfig, seed, params)).solution.selected
+def _sa(instance: Instance, seed: int, fis_config: FISConfig, sa_params: SAParams):
+    return simulated_annealing(instance, replace(sa_params, seed=seed)).solution.selected
 
 
-def _sa(instance: Instance, seed: int, params: dict):
-    return simulated_annealing(instance, _config(SAParams, seed, params)).solution.selected
-
-
-# Algorithm name -> solver(instance, seed, params) returning selected test
-# indices.  Reducers are looked up as module globals at call time, so
-# replacing one here (to trace or observe it) takes effect.
+# Algorithm name -> solver(instance, seed, fis_config, sa_params) returning
+# selected test indices.  Reducers are looked up as module globals at call
+# time, so replacing one here (to trace or observe it) takes effect.
 SOLVERS = {
     "fis": _fis,
     "sa": _sa,
-    "ge": lambda instance, seed, params: greedy_ge(instance),
-    "gre": lambda instance, seed, params: greedy_gre(instance),
-    "hgs": lambda instance, seed, params: hgs(instance),
+    "ge": lambda instance, seed, fis_config, sa_params: greedy_ge(instance),
+    "gre": lambda instance, seed, fis_config, sa_params: greedy_gre(instance),
+    "hgs": lambda instance, seed, fis_config, sa_params: hgs(instance),
 }
 ALGORITHMS = tuple(SOLVERS)
-# Solver settings a run accepts: the fields of FISConfig and SAParams bar the seed.
-SETTINGS = frozenset(f.name for cls in (FISConfig, SAParams) for f in fields(cls)) - {"seed"}
 
 
-def run_algorithm(instance: Instance, algorithm: str, seed: int = 0, **params) -> tuple[str, ...]:
+def run_algorithm(
+    instance: Instance,
+    algorithm: str,
+    seed: int = 0,
+    *,
+    fis_config: FISConfig | None = None,
+    sa_params: SAParams | None = None,
+) -> tuple[str, ...]:
     """One run of a reducer; returns selected test ids in selection order.
 
-    `params` are solver settings named as the fields of FISConfig and
-    SAParams; each solver takes those of its own config and ignores the
-    rest, and an unset one keeps its config default.
-
-    Every result is re-checked with is_cover before it is handed back, so a
-    broken reducer fails loudly instead of producing a bogus report.
+    FIS runs with `fis_config` and SA with `sa_params` (their defaults when
+    None); the run's `seed` replaces the config's own.  Every result is
+    re-checked with is_cover before it is handed back, so a broken reducer
+    fails loudly instead of producing a bogus report.
     """
-    unknown = params.keys() - SETTINGS
-    if unknown:
-        raise TypeError(f"unknown solver settings: {', '.join(sorted(unknown))}")
     if algorithm not in SOLVERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    selected = SOLVERS[algorithm](instance, seed, params)
+    solver = SOLVERS[algorithm]
+    selected = solver(instance, seed, fis_config or FISConfig(), sa_params or SAParams())
     if not is_cover(instance, selected):
         raise AssertionError(f"{algorithm} returned a non-covering selection")
     return instance.ids(selected)
@@ -73,18 +68,20 @@ def solve_report(
     seed: int = 0,
     runs: int = 1,
     *,
+    fis_config: FISConfig | None = None,
+    sa_params: SAParams | None = None,
     clock=time.perf_counter,
-    **params,
 ) -> RunReport:
     """Repeated runs as a verifiable report.  Run k of K uses seed + k
-    (0-based), so a K-run report at seed s covers seeds s .. s+K-1.
-    `params` go to run_algorithm."""
+    (0-based), so a K-run report at seed s covers seeds s .. s+K-1."""
     if runs < 1:
         raise ParameterError("runs must be positive")
     results = []
     for k in range(runs):
         t0 = clock()
-        selected = run_algorithm(instance, algorithm, seed + k, **params)
+        selected = run_algorithm(
+            instance, algorithm, seed + k, fis_config=fis_config, sa_params=sa_params
+        )
         t1 = clock()
         results.append(
             RunResult(selected=selected, size=len(selected), millis=round((t1 - t0) * 1000.0, 3))
@@ -127,13 +124,14 @@ def bench_suite(
     """Full sweep: every algorithm on every bundled instance, plus the exact
     minimum for reference."""
     names = builtin_names()
+    fis_config = FISConfig(rule_base=rule_base)
     cells = []
     minima: dict[str, int] = {}
     for name in names:
         inst = builtin(name)
         minima[name] = minimum_cover(inst).minimum_size
         for algorithm in ALGORITHMS:
-            report = solve_report(inst, algorithm, seed=seed, runs=runs, rule_base=rule_base)
+            report = solve_report(inst, algorithm, seed=seed, runs=runs, fis_config=fis_config)
             sizes = tuple(r.size for r in report.runs)
             best = min(report.runs, key=lambda r: r.size)
             cells.append(

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .baselines import SAParams
-from .bench import ALGORITHMS, SETTINGS, bench_suite, render_tables, solve_report, summary_json
+from .bench import ALGORITHMS, bench_suite, render_tables, solve_report, summary_json
 from .core import Instance, InvalidInstanceError, ParameterError, is_cover, reduction_percent
 from .corpus import UnknownBenchmarkError, builtin_names, builtin_document
 from .fis import FISConfig
@@ -71,14 +71,19 @@ def _emit(text: str, output: str | None) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    settings = {k: v for k, v in vars(args).items() if k in SETTINGS}
+    fis_config = FISConfig(
+        population_size=args.population,
+        max_iterations=args.iterations,
+        rule_base=_rule_base_from_env(),
+    )
+    sa_params = SAParams(alpha=args.alpha, t_initial=args.t_initial)
     report = solve_report(
         instance,
         args.algorithm,
         seed=args.seed,
         runs=args.runs,
-        rule_base=_rule_base_from_env(),
-        **settings,
+        fis_config=fis_config,
+        sa_params=sa_params,
     )
     _emit(write_report(report, instance), args.output)
     return EXIT_OK
@@ -155,12 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algorithm", choices=ALGORITHMS, default="fis")
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--runs", type=int, default=1)
-    p_solve.add_argument(
-        "--population", dest="population_size", type=int, default=FISConfig.population_size
-    )
-    p_solve.add_argument(
-        "--iterations", dest="max_iterations", type=int, default=FISConfig.max_iterations
-    )
+    p_solve.add_argument("--population", type=int, default=FISConfig.population_size)
+    p_solve.add_argument("--iterations", type=int, default=FISConfig.max_iterations)
     p_solve.add_argument("--alpha", type=float, default=SAParams.alpha)
     p_solve.add_argument("--t-initial", type=float, default=SAParams.t_initial)
     p_solve.add_argument("--output", help="write the report here instead of stdout")

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)

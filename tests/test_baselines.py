@@ -6,13 +6,16 @@ from hypothesis import strategies as st
 
 from helpers import brute_minimum, covers_naive, random_instance
 from tsred import (
+    FISConfig,
     SAParams,
     builtin,
     greedy_ge,
     greedy_gre,
     hgs,
     is_cover,
+    run_fis,
     simulated_annealing,
+    solve_report,
 )
 
 
@@ -150,3 +153,16 @@ class TestSimulatedAnnealing:
         inst = validate_instance("one", ["only"], [("r1", ["only"])])
         res = simulated_annealing(inst, SAParams(seed=0))
         assert res.solution.selected == (0,)
+
+
+def test_solve_report_runs_given_configs_at_run_seeds():
+    inst = builtin("experiment-4")
+    fis_config = FISConfig(population_size=4, max_iterations=5, seed=99)
+    sa_params = SAParams(alpha=0.9, t_initial=50.0, seed=99)
+    fis = solve_report(inst, "fis", seed=7, runs=2, fis_config=fis_config)
+    sa = solve_report(inst, "sa", seed=7, runs=2, sa_params=sa_params)
+    for k in range(2):
+        want_fis = run_fis(inst, FISConfig(population_size=4, max_iterations=5, seed=7 + k))
+        want_sa = simulated_annealing(inst, SAParams(alpha=0.9, t_initial=50.0, seed=7 + k))
+        assert fis.runs[k].selected == ids(inst, want_fis.solution.selected)
+        assert sa.runs[k].selected == ids(inst, want_sa.solution.selected)

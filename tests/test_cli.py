@@ -65,7 +65,6 @@ def test_solve_rejects_unknown_algorithm(capsys):
     assert code == 2
 
 
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -81,6 +80,7 @@ def test_out_of_range_setting_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
 
 def test_missing_subcommand_is_usage_error(capsys):
     code = main([])
