@@ -1,8 +1,8 @@
 """Baseline reducers: two greedy strategies, a divide-and-conquer heuristic,
 and a single-solution simulated annealer over permutations.
 
-The greedy family works directly on selected-test sets.  All of their
-tie-breaks resolve to the lowest test index, which keeps every run
+The greedy family is built from the bitset set-cover moves of `core`.  All
+of their tie-breaks resolve to the lowest test index, which keeps every run
 deterministic; where several equally good picks exist the returned set is
 one minimal-cardinality choice among them, not necessarily the only one.
 """
@@ -14,7 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, ParameterError, Solution, decode, objective, swap_at, two_positions
+from .core import (
+    Instance,
+    ParameterError,
+    Solution,
+    best_gain,
+    coverage,
+    decode,
+    essential_tests,
+    objective,
+    swap_at,
+    two_positions,
+    undominated,
+)
 
 
 def greedy_ge(instance: Instance) -> list[int]:
@@ -22,30 +34,13 @@ def greedy_ge(instance: Instance) -> list[int]:
     uncovered requirements.  Returns test indices in selection order."""
     masks = instance.test_masks
     full = instance.full_mask
-    covered = 0
-    chosen: set[int] = set()
-    selected: list[int] = []
-
-    def take(t: int) -> None:
-        nonlocal covered
-        chosen.add(t)
+    everyone = (1 << instance.n) - 1
+    selected = essential_tests(instance.candidate_masks, full, everyone)
+    covered = coverage(instance, selected)
+    while covered != full:
+        t = best_gain(masks, full & ~covered, everyone)
         selected.append(t)
         covered |= masks[t]
-
-    for req in instance.requirements:
-        if len(req.candidates) == 1:
-            (t,) = req.candidates
-            if t not in chosen:
-                take(t)
-    while covered != full:
-        best_t, best_gain = -1, 0
-        for t in range(instance.n):
-            if t in chosen:
-                continue
-            gain = (masks[t] & ~covered).bit_count()
-            if gain > best_gain:
-                best_t, best_gain = t, gain
-        take(best_t)
     return selected
 
 
@@ -62,50 +57,18 @@ def greedy_gre(instance: Instance) -> list[int]:
     masks = instance.test_masks
     full = instance.full_mask
     covered = 0
-    active = set(range(instance.n))
+    active = (1 << instance.n) - 1
     selected: list[int] = []
-
-    def take(t: int) -> None:
-        nonlocal covered
-        active.discard(t)
-        selected.append(t)
-        covered |= masks[t]
-
     while covered != full:
-        progress = False
-
-        order = sorted(active)
-        uncov = {t: masks[t] & ~covered & full for t in order}
-        redundant = set()
-        for t in order:
-            for u in order:
-                if u == t:
-                    continue
-                if uncov[t] & ~uncov[u]:
-                    continue  # t contributes something u does not
-                if uncov[t] != uncov[u] or u < t:
-                    redundant.add(t)
-                    break
-        if redundant:
-            active -= redundant
-            progress = True
-
-        for i, req in enumerate(instance.requirements):
-            if covered >> i & 1:
-                continue
-            remaining = [t for t in req.candidates if t in active]
-            if len(remaining) == 1:
-                take(remaining[0])
-                progress = True
-        if covered == full or progress:
-            continue
-
-        best_t, best_gain = -1, 0
-        for t in sorted(active):
-            gain = (masks[t] & ~covered).bit_count()
-            if gain > best_gain:
-                best_t, best_gain = t, gain
-        take(best_t)
+        kept = undominated([m & ~covered for m in masks], active)
+        picks = essential_tests(instance.candidate_masks, full & ~covered, kept)
+        if not picks and kept == active:
+            picks = [best_gain(masks, full & ~covered, active)]
+        active = kept
+        for t in picks:
+            selected.append(t)
+            covered |= masks[t]
+            active &= ~(1 << t)
     return selected
 
 
@@ -118,41 +81,28 @@ def hgs(instance: Instance) -> list[int]:
     ties settled by occurrence counts at the next cardinalities and finally
     by lowest index.  Selecting a test marks every group containing it.
     """
-    groups = [set(req.candidates) for req in instance.requirements]
-    marked = [False] * len(groups)
-    selected: list[int] = []
-
-    def take(t: int) -> None:
-        selected.append(t)
-        for i, g in enumerate(groups):
-            if not marked[i] and t in g:
-                marked[i] = True
-
-    for i, g in enumerate(groups):
-        if len(g) == 1 and not marked[i]:
-            (t,) = g
-            take(t)
-
-    cardinalities = sorted({len(g) for g in groups if len(g) > 1})
-
-    def choose(tied: list[int], card: int) -> int:
-        for next_card in cardinalities[cardinalities.index(card) :]:
-            current = [g for i, g in enumerate(groups) if not marked[i] and len(g) == next_card]
-            counts = {t: sum(t in g for g in current) for t in tied}
-            top = max(counts.values())
-            tied = sorted(t for t in tied if counts[t] == top)
-            if len(tied) == 1:
-                return tied[0]
-        return tied[0]
-
-    for card in cardinalities:
-        while True:
-            pool = sorted(
-                {t for i, g in enumerate(groups) if not marked[i] and len(g) == card for t in g}
-            )
-            if not pool:
-                break
-            take(choose(pool, card))
+    masks = instance.test_masks
+    candidates = instance.candidate_masks
+    selected = essential_tests(candidates, instance.full_mask, (1 << instance.n) - 1)
+    marked = coverage(instance, selected)  # requirements covered so far
+    groups_of_size: dict[int, int] = {}  # cardinality -> bitset of requirements
+    for i, c in enumerate(candidates):
+        size = c.bit_count()
+        if size > 1:
+            groups_of_size[size] = groups_of_size.get(size, 0) | 1 << i
+    cardinalities = sorted(groups_of_size)
+    for pos, card in enumerate(cardinalities):
+        while open_groups := groups_of_size[card] & ~marked:
+            tied = [t for t in range(instance.n) if masks[t] & open_groups]
+            for size in cardinalities[pos:]:
+                open_of_size = groups_of_size[size] & ~marked
+                counts = [(masks[t] & open_of_size).bit_count() for t in tied]
+                top = max(counts)
+                tied = [t for t, count in zip(tied, counts) if count == top]
+                if len(tied) == 1:
+                    break
+            selected.append(tied[0])
+            marked |= masks[tied[0]]
     return selected
 
 

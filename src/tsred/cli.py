@@ -7,6 +7,7 @@ Exit codes: 0 success (or VALID), 1 INVALID selection, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from pathlib import Path
@@ -123,10 +124,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"VALID: {len(set(selection))} tests cover all {instance.m} requirements "
               f"(reduction {reduction.text}%)")
         return EXIT_OK
-    covered = 0
-    for t in selection:
-        covered |= instance.test_masks[t]
-    missing = [req.id for i, req in enumerate(instance.requirements) if not covered >> i & 1]
+    missing = [req.id for req in instance.requirements if req.candidates.isdisjoint(selection)]
     print(f"INVALID: uncovered requirements: {', '.join(missing)}")
     return EXIT_INVALID
 
@@ -138,6 +136,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.output:
         Path(args.output).write_text(summary_json(summary))
     return EXIT_OK
+
+
+def _default(function, name: str):
+    """The library's own default for one keyword of `function`."""
+    return inspect.signature(function).parameters[name].default
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run a reducer and print a run report")
     add_instance(p_solve)
     p_solve.add_argument("--algorithm", choices=ALGORITHMS, default="fis")
-    p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--runs", type=int, default=1)
+    p_solve.add_argument("--seed", type=int, default=_default(solve_report, "seed"))
+    p_solve.add_argument("--runs", type=int, default=_default(solve_report, "runs"))
     p_solve.add_argument("--population", type=int, default=FISConfig.population_size)
     p_solve.add_argument("--iterations", type=int, default=FISConfig.max_iterations)
     p_solve.add_argument("--alpha", type=float, default=SAParams.alpha)
@@ -170,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="exact minimum cover")
     add_instance(p_oracle)
     p_oracle.add_argument("--enumerate", action="store_true", help="list all minimum covers")
-    p_oracle.add_argument("--cap", type=int, default=1000, help="enumeration limit")
+    cap = _default(enumerate_minimum_covers, "cap")
+    p_oracle.add_argument("--cap", type=int, default=cap, help="enumeration limit")
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_val = sub.add_parser("validate", help="check a comma separated test selection")
@@ -180,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="sweep all algorithms over a suite")
     p_bench.add_argument("--suite", choices=["builtin"], default="builtin")
-    p_bench.add_argument("--runs", type=int, default=15)
-    p_bench.add_argument("--seed", type=int, default=1)
+    p_bench.add_argument("--runs", type=int, default=_default(bench_suite, "runs"))
+    p_bench.add_argument("--seed", type=int, default=_default(bench_suite, "seed"))
     p_bench.add_argument("--output", help="also write a machine readable JSON summary")
     p_bench.set_defaults(func=_cmd_bench)
     return parser

@@ -5,7 +5,9 @@ satisfiable by any test from its non-empty candidate set.  A candidate
 solution is a permutation of all test indices; it decodes to the shortest
 prefix whose tests together satisfy every requirement.  Coverage is computed
 on bitsets over requirement indices, so membership checks stay cheap even in
-search loops.
+search loops.  The greedy reducers and the oracle's preprocessing are all
+built from the same three set-cover moves on these bitsets: take the
+essential tests, drop dominated members, pick the test of largest gain.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ if TYPE_CHECKING:
 class Violation:
     """One failed instance check.
 
-    kind is one of "EmptyCandidates" (subject: requirement id),
-    "UnknownTest" (subject: unknown test id) or "DuplicateId".
+    kind is one of "EmptySuite" (subject: instance name), "EmptyCandidates"
+    (subject: requirement id), "UnknownTest" (subject: unknown test id) or
+    "DuplicateId".
     """
 
     kind: str
@@ -88,6 +91,11 @@ class Instance:
         return tuple(masks)
 
     @cached_property
+    def candidate_masks(self) -> tuple[int, ...]:
+        """Per-requirement bitset of candidate tests (bit j = test j)."""
+        return tuple(sum(1 << j for j in req.candidates) for req in self.requirements)
+
+    @cached_property
     def index_of(self) -> dict[str, int]:
         return {t: j for j, t in enumerate(self.tests)}
 
@@ -102,6 +110,8 @@ def instance_violations(
 ) -> list[Violation]:
     """Collect every invariant violation in raw instance data (empty if valid)."""
     violations: list[Violation] = []
+    if not tests:
+        violations.append(Violation("EmptySuite", name))
     index: dict[str, int] = {}
     for t in tests:
         if t in index:
@@ -144,16 +154,60 @@ def validate_instance(
     return Instance(name, tests, built)
 
 
-def is_cover(instance: Instance, selection: Iterable[int]) -> bool:
-    """True iff every requirement has at least one candidate in `selection`."""
+def bits(mask: int) -> list[int]:
+    """Positions of the set bits of `mask`, lowest first."""
+    # string scan: for masks wider than a few bits, faster than x & -x arithmetic
+    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
+def essential_tests(req_masks: Sequence[int], uncovered: int, pool: int) -> list[int]:
+    """The tests of `pool` that are the only candidate in `pool` of some
+    requirement in `uncovered`, in requirement order, without repeats.
+    Every cover drawn from `pool` contains all of them."""
+    sole = [req_masks[i] & pool for i in bits(uncovered)]
+    return list(dict.fromkeys([c.bit_length() - 1 for c in sole if c.bit_count() == 1]))
+
+
+def best_gain(masks: Sequence[int], uncovered: int, pool: int) -> int:
+    """The lowest-index test of `pool` whose mask covers the most of
+    `uncovered`, or -1 if none covers any of it."""
+    tests = bits(pool)
+    gains = [(masks[t] & uncovered).bit_count() for t in tests]
+    top = max(gains, default=0)
+    return tests[gains.index(top)] if top else -1
+
+
+def undominated(sets: Sequence[int], pool: int) -> int:
+    """`pool` without every member whose set lies inside another member's
+    set; of members with equal sets only the lowest index stays.
+
+    Dominance is a strict partial order, so dropping dominated members all
+    at once leaves the same pool as dropping them one by one.
+    """
+    members = [(t, sets[t]) for t in bits(pool)]
+    kept = pool
+    for t, s in members:
+        for u, su in members:
+            if u != t and not s & ~su and (s != su or u < t):
+                kept &= ~(1 << t)
+                break
+    return kept
+
+
+def coverage(instance: Instance, selection: Iterable[int]) -> int:
+    """Bitset of the requirements that the tests in `selection` satisfy."""
     masks = instance.test_masks
-    n = instance.n
     covered = 0
     for j in selection:
-        if not 0 <= j < n:
+        if not 0 <= j < instance.n:
             raise ValueError(f"test index out of range: {j}")
         covered |= masks[j]
-    return covered == instance.full_mask
+    return covered
+
+
+def is_cover(instance: Instance, selection: Iterable[int]) -> bool:
+    """True iff every requirement has at least one candidate in `selection`."""
+    return coverage(instance, selection) == instance.full_mask
 
 
 @dataclass(frozen=True)
@@ -170,10 +224,12 @@ def objective(instance: Instance, permutation: Sequence[int]) -> int:
 
     The permutation must contain every test index exactly once; the full test
     set is a cover by the instance invariants, so a covering prefix always
-    exists.
+    exists.  With no requirements the empty prefix already covers.
     """
     masks = instance.test_masks
     full = instance.full_mask
+    if not full:
+        return 0
     covered = 0
     for pos, j in enumerate(permutation):
         covered |= masks[j]
@@ -212,8 +268,8 @@ class Reduction(NamedTuple):
 
 
 def reduction_percent(n: int, k: int) -> Reduction:
-    """Reduction 100*(n-k)/n as an exact fraction plus a one-decimal display."""
-    if not 1 <= k <= n:
+    """Reduction 100*(n-k)/n, exact and to one decimal; k = 0 (no requirements) is 100%."""
+    if n < 1 or not 0 <= k <= n:
         raise ValueError(f"selected size {k} out of range for suite of {n}")
     exact = Fraction(100 * (n - k), n)
     return Reduction(exact, f"{float(exact):.1f}")

@@ -239,10 +239,34 @@ def default_rule_base(samples: int = 1001) -> RuleBase:
     )
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", (int, float): "a number"}
+
+
+def _expect(value, kind, where: str):
+    """`value` itself if it has the JSON type the schema asks for, else ValueError."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{where}: expected {_JSON_TYPES[kind]}")
+    return value
+
+
 def _trapezoid_from(raw, where: str) -> Trapezoid:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
+    if len(_expect(raw, list, where)) != 4:
         raise ValueError(f"{where}: expected four breakpoints")
-    return Trapezoid(*(float(v) for v in raw))
+    return Trapezoid(*(float(_expect(v, (int, float), where)) for v in raw))
+
+
+def _terms(raw, where: str) -> dict[str, Trapezoid]:
+    return {
+        term: _trapezoid_from(bp, f"{where}.{term}")
+        for term, bp in _expect(raw, dict, where).items()
+    }
+
+
+def _rule(raw, where: str) -> Rule:
+    entry = _expect(raw, dict, where)
+    clauses = _expect(entry["if"], dict, f"{where}.if").items()
+    antecedent = {var: _expect(term, str, f"{where}.if.{var}") for var, term in clauses}
+    return Rule.of(antecedent, _expect(entry["then"], str, f"{where}.then"))
 
 
 def rule_base_from_json(text: str, samples: int | None = None) -> RuleBase:
@@ -252,26 +276,27 @@ def rule_base_from_json(text: str, samples: int | None = None) -> RuleBase:
              "output": {"name": ..., "terms": {term: [a, b, c, d]}},
              "rules": [{"if": {variable: term}, "then": term}],
              "samples": 1001}
+
+    A missing key raises KeyError; any other departure from the schema
+    raises ValueError.
     """
-    raw = json.loads(text)
+    raw = _expect(json.loads(text), dict, "rule base")
     inputs = {
-        var: LinguisticVariable(
-            var,
-            {term: _trapezoid_from(bp, f"{var}.{term}") for term, bp in terms.items()},
-        )
-        for var, terms in raw["variables"].items()
+        var: LinguisticVariable(var, _terms(terms, var))
+        for var, terms in _expect(raw["variables"], dict, "variables").items()
     }
-    out = raw["output"]
+    out = _expect(raw["output"], dict, "output")
     output = LinguisticVariable(
-        out["name"],
-        {term: _trapezoid_from(bp, f"output.{term}") for term, bp in out["terms"].items()},
+        _expect(out["name"], str, "output.name"), _terms(out["terms"], "output")
     )
-    rules = tuple(Rule.of(entry["if"], entry["then"]) for entry in raw["rules"])
+    rules = tuple(
+        _rule(entry, f"rules[{i}]") for i, entry in enumerate(_expect(raw["rules"], list, "rules"))
+    )
     return RuleBase(
         inputs=inputs,
         output=output,
         rules=rules,
-        samples=samples or int(raw.get("samples", 1001)),
+        samples=samples or int(_expect(raw.get("samples", 1001), (int, float), "samples")),
     )
 
 

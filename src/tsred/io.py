@@ -90,24 +90,32 @@ def _field(obj: dict, name: str, kind: type, desc: str) -> Any:
     return value
 
 
+def _strings(value: Any, field: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise FieldTypeError(field, "list of strings")
+    return tuple(value)
+
+
 def parse_instance(text: str) -> InstanceDocument:
     """Parse an instance document from JSON text."""
     raw = _loads(text)
     name = _field(raw, "name", str, "string")
-    tests = _field(raw, "tests", list, "list of strings")
+    tests = _strings(_field(raw, "tests", list, "list of strings"), "tests")
     reqs = _field(raw, "requirements", list, "list of objects")
     entries = []
     for i, entry in enumerate(reqs):
+        where = f"requirements[{i}]"
         if not isinstance(entry, dict):
-            raise FieldTypeError(f"requirements[{i}]", "object")
-        if "id" not in entry:
-            raise MissingFieldError(f"requirements[{i}].id")
-        if "candidates" not in entry:
-            raise MissingFieldError(f"requirements[{i}].candidates")
+            raise FieldTypeError(where, "object")
+        for key in ("id", "candidates"):
+            if key not in entry:
+                raise MissingFieldError(f"{where}.{key}")
+        if not isinstance(entry["id"], str):
+            raise FieldTypeError(f"{where}.id", "string")
         entries.append(
-            RequirementEntry(str(entry["id"]), tuple(str(c) for c in entry["candidates"]))
+            RequirementEntry(entry["id"], _strings(entry["candidates"], f"{where}.candidates"))
         )
-    return InstanceDocument(name, tuple(str(t) for t in tests), tuple(entries))
+    return InstanceDocument(name, tests, tuple(entries))
 
 
 def write_instance(doc: InstanceDocument) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, ParameterError
+from .core import Instance, ParameterError, best_gain, bits, essential_tests, undominated
 
 MAX_TESTS = 64
 _INF = 1 << 30
@@ -32,16 +32,7 @@ def _check_size(instance: Instance) -> None:
         raise TooLargeError(f"{instance.n} tests exceeds the oracle limit of {MAX_TESTS}")
 
 
-def _candidate_masks(instance: Instance) -> list[int]:
-    """Per-requirement bitmask over test indices."""
-    out = [0] * instance.m
-    for i, req in enumerate(instance.requirements):
-        for t in req.candidates:
-            out[i] |= 1 << t
-    return out
-
-
-def _lower_bound(req_masks: list[int], uncovered: int, allowed: int) -> int:
+def _lower_bound(req_masks: tuple[int, ...], uncovered: int, allowed: int) -> int:
     """Greedy family of uncovered requirements with pairwise disjoint
     candidate sets; its size is an admissible bound since each needs its
     own test.  Returns a huge value when some requirement has no candidate
@@ -61,7 +52,7 @@ def _lower_bound(req_masks: list[int], uncovered: int, allowed: int) -> int:
     return bound
 
 
-def _branch_requirement(req_masks: list[int], uncovered: int, allowed: int) -> int:
+def _branch_requirement(req_masks: tuple[int, ...], uncovered: int, allowed: int) -> int:
     """Uncovered requirement with the fewest usable candidates."""
     best_i, best_count = -1, _INF
     rest = uncovered
@@ -76,9 +67,7 @@ def _branch_requirement(req_masks: list[int], uncovered: int, allowed: int) -> i
     return best_i
 
 
-def _reduce(
-    instance: Instance, req_masks: list[int], drop_tests: bool
-) -> tuple[set[int], int, int]:
+def _reduce(instance: Instance, drop_tests: bool) -> tuple[set[int], int, int]:
     """Preprocess to a fixpoint: forced picks, dominated tests (only when
     `drop_tests`), dominated requirements.
 
@@ -88,58 +77,22 @@ def _reduce(
     optimum but can discard alternative ones, so enumeration turns it off.
     """
     masks = instance.test_masks
+    req_masks = instance.candidate_masks
     forced = 0
-    covered = 0
     allowed = (1 << instance.n) - 1
-    active_reqs = instance.full_mask
+    uncovered = instance.full_mask
     changed = True
     while changed:
-        changed = False
-        rest = active_reqs & ~covered
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            cands = req_masks[i] & allowed
-            if cands.bit_count() == 1 and not cands & forced:
-                forced |= cands
-                covered |= masks[cands.bit_length() - 1]
-                changed = True
+        before = (forced, allowed, uncovered)
+        for t in essential_tests(req_masks, uncovered, allowed):
+            forced |= 1 << t
+            uncovered &= ~masks[t]
         if drop_tests:
-            rest = allowed & ~forced
-            while rest:
-                t = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                ut = masks[t] & active_reqs & ~covered
-                other = allowed & ~(1 << t) & ~forced
-                while other:
-                    u = (other & -other).bit_length() - 1
-                    other &= other - 1
-                    uu = masks[u] & active_reqs & ~covered
-                    if ut & ~uu:
-                        continue
-                    if ut != uu or u < t:
-                        allowed &= ~(1 << t)
-                        changed = True
-                        break
-        rest = active_reqs & ~covered
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            ci = req_masks[i] & allowed
-            other = active_reqs & ~covered & ~(1 << i)
-            while other:
-                j = (other & -other).bit_length() - 1
-                other &= other - 1
-                cj = req_masks[j] & allowed
-                # any test for j also satisfies i: i is implied by j
-                if cj & ~ci:
-                    continue
-                if ci != cj or j < i:
-                    active_reqs &= ~(1 << i)
-                    changed = True
-                    break
-    forced_tests = {t for t in range(instance.n) if forced >> t & 1}
-    return forced_tests, active_reqs & ~covered, allowed
+            allowed = undominated([m & uncovered for m in masks], allowed & ~forced) | forced
+        # j implies i when j's candidates lie inside i's, i.e. i's complement inside j's
+        uncovered = undominated([allowed & ~c for c in req_masks], uncovered)
+        changed = (forced, allowed, uncovered) != before
+    return set(bits(forced)), uncovered, allowed
 
 
 def _search(
@@ -174,9 +127,9 @@ def minimum_cover(instance: Instance) -> OracleResult:
     """Size and one witness of a minimum cover."""
     _check_size(instance)
     masks = instance.test_masks
-    req_masks = _candidate_masks(instance)
-    forced, uncovered, allowed = _reduce(instance, req_masks, drop_tests=True)
-    best = _greedy_cover(masks, req_masks, uncovered, allowed) | forced
+    req_masks = instance.candidate_masks
+    forced, uncovered, allowed = _reduce(instance, drop_tests=True)
+    best = _greedy_cover(masks, uncovered, allowed) | forced
 
     def improve(chosen: set[int]) -> int:
         nonlocal best
@@ -194,8 +147,8 @@ def enumerate_minimum_covers(instance: Instance, cap: int = 1000) -> OracleResul
     _check_size(instance)
     k = minimum_cover(instance).minimum_size
     masks = instance.test_masks
-    req_masks = _candidate_masks(instance)
-    forced, uncovered, allowed = _reduce(instance, req_masks, drop_tests=False)
+    req_masks = instance.candidate_masks
+    forced, uncovered, allowed = _reduce(instance, drop_tests=False)
     found: list[tuple[int, ...]] = []
 
     def record(chosen: set[int]) -> int:
@@ -213,21 +166,14 @@ def enumerate_minimum_covers(instance: Instance, cap: int = 1000) -> OracleResul
     )
 
 
-def _greedy_cover(masks, req_masks, uncovered: int, allowed: int) -> set[int]:
+def _greedy_cover(masks, uncovered: int, allowed: int) -> set[int]:
     """Quick upper bound: plain max-gain greedy restricted to allowed tests."""
     chosen: set[int] = set()
     while uncovered:
-        best_t, best_gain = -1, 0
-        pool = allowed
-        while pool:
-            t = (pool & -pool).bit_length() - 1
-            pool &= pool - 1
-            gain = (masks[t] & uncovered).bit_count()
-            if gain > best_gain:
-                best_t, best_gain = t, gain
-        if best_t < 0:
+        t = best_gain(masks, uncovered, allowed)
+        if t < 0:
             # infeasible under this restriction; caller's bound handles it
             break
-        chosen.add(best_t)
-        uncovered &= ~masks[best_t]
+        chosen.add(t)
+        uncovered &= ~masks[t]
     return chosen

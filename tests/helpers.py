@@ -59,6 +59,90 @@ def random_instance(rng: random.Random, max_tests: int = 16, max_requirements: i
     return validate_instance(f"random-{n}x{m}", tests, requirements)
 
 
+def ge_naive(instance: Instance) -> list[int]:
+    """GE (Chen & Lau): essential tests, then max-gain picks, lowest index on ties."""
+    groups = [set(req.candidates) for req in instance.requirements]
+    selected: list[int] = []
+    for g in groups:
+        if len(g) == 1 and min(g) not in selected:
+            selected.append(min(g))
+    uncovered = [g for g in groups if not g & set(selected)]
+    while uncovered:
+        gains = [sum(t in g for g in uncovered) for t in range(instance.n)]
+        t = gains.index(max(gains))
+        selected.append(t)
+        uncovered = [g for g in uncovered if t not in g]
+    return selected
+
+
+def gre_naive(instance: Instance) -> list[int]:
+    """GRE (Chen & Lau): per round drop redundant tests, take the sole
+    remaining candidates, and make one max-gain pick only if the round
+    changed nothing."""
+    groups = [set(req.candidates) for req in instance.requirements]
+    uncovered = set(range(len(groups)))
+    active = set(range(instance.n))
+    selected: list[int] = []
+
+    def reqs_of(t):
+        return {i for i in uncovered if t in groups[i]}
+
+    def take(t):
+        selected.append(t)
+        active.discard(t)
+        uncovered.difference_update(reqs_of(t))
+
+    while uncovered:
+        own = {t: reqs_of(t) for t in active}
+        redundant = {
+            t
+            for t in active
+            for u in active
+            if u != t and own[t] <= own[u] and (own[t] != own[u] or u < t)
+        }
+        active -= redundant
+        progress = bool(redundant)
+        for i, g in enumerate(groups):
+            if i in uncovered and len(g & active) == 1:
+                take(min(g & active))
+                progress = True
+        if uncovered and not progress:
+            take(max(sorted(active), key=lambda t: len(reqs_of(t))))
+    return selected
+
+
+def hgs_naive(instance: Instance) -> list[int]:
+    """HGS (Harrold, Gupta & Soffa): singleton groups first, then groups by
+    increasing cardinality, ties settled by counts at the next
+    cardinalities and finally by lowest index."""
+    groups = [set(req.candidates) for req in instance.requirements]
+    marked: set[int] = set()
+    selected: list[int] = []
+
+    def take(t):
+        selected.append(t)
+        marked.update(i for i, g in enumerate(groups) if t in g)
+
+    for i, g in enumerate(groups):
+        if len(g) == 1 and i not in marked:
+            take(min(g))
+    sizes = sorted({len(g) for g in groups if len(g) > 1})
+
+    def unmarked(size):
+        return [g for i, g in enumerate(groups) if i not in marked and len(g) == size]
+
+    for pos, size in enumerate(sizes):
+        while unmarked(size):
+            tied = sorted(set().union(*unmarked(size)))
+            for next_size in sizes[pos:]:
+                counts = {t: sum(t in g for g in unmarked(next_size)) for t in tied}
+                tied = [t for t in tied if counts[t] == max(counts.values())]
+                if len(tied) == 1:
+                    break
+            take(tied[0])
+    return selected
+
+
 def trapezoid_centroid_exact(a, b, c, d) -> Fraction:
     """Closed form centroid of a trapezoidal membership function over its
     support, integrating each piece analytically with exact rationals."""

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_minimum, covers_naive, random_instance
+from helpers import brute_minimum, covers_naive, ge_naive, gre_naive, hgs_naive, random_instance
 from tsred import (
     FISConfig,
     SAParams,
@@ -16,6 +16,7 @@ from tsred import (
     run_fis,
     simulated_annealing,
     solve_report,
+    validate_instance,
 )
 
 
@@ -69,8 +70,6 @@ class TestGreedyGRE:
     def test_greedy_fallback_round(self):
         # no test dominates another and nothing is essential, so the first
         # round must fall through to a single greedy pick
-        from tsred import validate_instance
-
         inst = validate_instance(
             "ring",
             ["a", "b", "c"],
@@ -97,6 +96,30 @@ class TestHGS:
     def test_experiment_3(self):
         inst = builtin("experiment-3")
         assert ids(inst, hgs(inst)) == ("t5", "t3", "t1", "t4")
+
+
+def reference_instance(seed):
+    """1-30 tests; no requirements every eighth seed, otherwise alternately
+    up to 20 or more than 64 (masks wider than a machine word)."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 30)
+    if seed % 8 == 0:
+        m = 0
+    else:
+        m = rng.randint(65, 130) if seed % 2 else rng.randint(1, 20)
+    tests = [f"t{j}" for j in range(n)]
+    requirements = [
+        (f"r{i}", rng.sample(tests, min(n, rng.choice((1, 2, 2, 3, 4, 6))))) for i in range(m)
+    ]
+    return validate_instance(f"reference-{seed}", tests, requirements)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_greedy_family_matches_set_references(seed):
+    inst = reference_instance(seed)
+    assert greedy_ge(inst) == ge_naive(inst)
+    assert greedy_gre(inst) == gre_naive(inst)
+    assert hgs(inst) == hgs_naive(inst)
 
 
 @settings(max_examples=200, deadline=None)
@@ -148,8 +171,6 @@ class TestSimulatedAnnealing:
         assert res.solution.prefix_len == 2
 
     def test_single_test_instance(self):
-        from tsred import validate_instance
-
         inst = validate_instance("one", ["only"], [("r1", ["only"])])
         res = simulated_annealing(inst, SAParams(seed=0))
         assert res.solution.selected == (0,)

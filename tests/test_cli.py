@@ -118,6 +118,62 @@ def test_structurally_invalid_file_is_instance_error(capsys, tmp_path):
     assert "ghost" in err
 
 
+def write_doc(tmp_path, doc):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"tests": ["a"], "requirements": [{"id": "r1", "candidates": 5}]},
+         "requirements[0].candidates"),
+        ({"tests": ["a", "b"], "requirements": [{"id": "r1", "candidates": "ab"}]},
+         "requirements[0].candidates"),
+        ({"tests": ["a"], "requirements": [{"id": "r1", "candidates": ["a", 1]}]},
+         "requirements[0].candidates"),
+        ({"tests": [{"x": 1}], "requirements": [{"id": "r1", "candidates": ["a"]}]}, "tests"),
+        ({"tests": ["a"], "requirements": [{"id": 7, "candidates": ["a"]}]},
+         "requirements[0].id"),
+    ],
+)
+def test_mistyped_instance_field_is_instance_error(capsys, tmp_path, doc, field):
+    path = write_doc(tmp_path, {"name": "typed", **doc})
+    code, out, err = run_cli(capsys, "oracle", "--instance", path)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: field {field}: expected")
+
+
+EMPTY = {"name": "empty", "tests": ["t1", "t2"], "requirements": []}
+
+
+def test_oracle_without_requirements_selects_nothing(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "oracle", "--instance", write_doc(tmp_path, EMPTY))
+    assert code == 0
+    assert "minimum size: 0" in out
+    assert "reduction: 100.0%" in out
+
+
+@pytest.mark.parametrize("algorithm", ["fis", "sa", "ge", "gre", "hgs"])
+def test_solve_without_requirements_selects_nothing(capsys, tmp_path, algorithm):
+    path = write_doc(tmp_path, EMPTY)
+    code, out, _ = run_cli(capsys, "solve", "--instance", path, "--algorithm", algorithm)
+    assert code == 0
+    report = parse_report(out)
+    assert report.best_size == 0
+    assert report.runs[0].selected == ()
+    assert json.loads(out)["reduction_percent"] == "100.0"
+
+
+def test_empty_suite_is_instance_error(capsys, tmp_path):
+    path = write_doc(tmp_path, {"name": "none", "tests": [], "requirements": []})
+    code, out, err = run_cli(capsys, "solve", "--instance", path, "--algorithm", "sa")
+    assert code == 3
+    assert "EmptySuite(none)" in err
+
+
 def test_oracle_reports_minimum(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--instance", EXP1)
     assert code == 0
@@ -218,6 +274,13 @@ def test_bad_rulebase_env_is_usage_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("TSRED_RULEBASE", str(tmp_path / "missing.json"))
     code, _, err = run_cli(capsys, "solve", "--instance", EXP1, "--algorithm", "fis")
     assert code == 2
+
+    path.write_text('{"variables": [], "output": {}, "rules": []}')
+    monkeypatch.setenv("TSRED_RULEBASE", str(path))
+    code, out, err = run_cli(capsys, "bench", "--runs", "1")
+    assert code == 2
+    assert out == ""
+    assert "variables: expected an object" in err
 
 
 def test_console_entry_point_subprocess():

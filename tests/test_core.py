@@ -100,13 +100,16 @@ def test_reduction_percent_exact_and_text():
     assert reduction_percent(31, 11).text == "64.5"
     assert reduction_percent(5, 5).text == "0.0"
     assert reduction_percent(4, 1).exact == Fraction(75)
+    assert reduction_percent(4, 0).text == "100.0"  # empty cover, no requirements
 
 
 def test_reduction_percent_guards():
     with pytest.raises(ValueError):
-        reduction_percent(4, 0)
+        reduction_percent(4, -1)
     with pytest.raises(ValueError):
         reduction_percent(4, 5)
+    with pytest.raises(ValueError):
+        reduction_percent(0, 0)
 
 
 @settings(max_examples=300, deadline=None)
