@@ -42,16 +42,16 @@ from .fuzzy import (
     centroid,
     default_rule_base,
     infer,
-    load_rule_base,
-    rule_base_from_json,
 )
 from .io import (
     InstanceDocument,
     ParseError,
     RunReport,
     RunResult,
+    load_rule_base,
     parse_instance,
     parse_report,
+    rule_base_from_json,
     write_instance,
     write_report,
 )

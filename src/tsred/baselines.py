@@ -107,6 +107,7 @@ def hgs(instance: Instance) -> list[int]:
 
 
 STOP_FLOOR = 0.001
+MAX_STEPS = 1_000_000  # most temperature steps one annealing run may take
 
 
 @dataclass
@@ -119,8 +120,15 @@ class SAParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError("alpha must lie strictly between 0 and 1")
-        if self.t_final < 0.0 or self.t_initial <= self.t_final:
-            raise ParameterError("need t_initial > t_final >= 0")
+        if not 0.0 <= self.t_final < self.t_initial < math.inf:
+            raise ParameterError("need a finite t_initial > t_final >= 0")
+        if self.seed < 0:
+            raise ParameterError("seed must not be negative")
+        steps = math.log(max(self.t_final, STOP_FLOOR) / self.t_initial) / math.log(self.alpha)
+        if steps > MAX_STEPS:
+            raise ParameterError(
+                f"cooling schedule takes about {steps:.3g} steps; the limit is {MAX_STEPS}"
+            )
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@ reports, and reproduce the result tables for the bundled experiments."""
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -13,7 +12,7 @@ from .core import Instance, ParameterError, is_cover, reduction_percent
 from .corpus import builtin, builtin_names
 from .fis import FISConfig, run_fis
 from .fuzzy import RuleBase
-from .io import RunReport, RunResult
+from .io import RunReport, RunResult, write_json
 from .oracle import minimum_cover
 
 
@@ -184,7 +183,7 @@ def render_tables(summary: BenchSummary) -> str:
 def summary_json(summary: BenchSummary) -> str:
     """Machine-readable summary.  Runtimes are deliberately excluded so two
     identically seeded sweeps serialize byte for byte."""
-    payload = {
+    return write_json({
         "suite": list(summary.suite),
         "runs": summary.runs,
         "seed": summary.seed,
@@ -202,5 +201,4 @@ def summary_json(summary: BenchSummary) -> str:
             }
             for c in summary.cells
         ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    })

@@ -17,8 +17,8 @@ from .bench import ALGORITHMS, bench_suite, render_tables, solve_report, summary
 from .core import Instance, InvalidInstanceError, ParameterError, is_cover, reduction_percent
 from .corpus import UnknownBenchmarkError, builtin_names, builtin_document
 from .fis import FISConfig
-from .fuzzy import FuzzyDomainError, RuleBase, load_rule_base
-from .io import ParseError, write_report
+from .fuzzy import RuleBase
+from .io import ParseError, load_rule_base, write_report
 from .oracle import TooLargeError, enumerate_minimum_covers, minimum_cover
 
 EXIT_OK = 0
@@ -41,10 +41,10 @@ def _load_instance(source: str) -> Instance:
     try:
         if source.startswith("builtin:"):
             return builtin_document(source[len("builtin:") :]).to_instance()
-        text = Path(source).read_text()
+        data = Path(source).read_bytes()
         from .io import parse_instance
 
-        return parse_instance(text).to_instance()
+        return parse_instance(data).to_instance()
     except UnknownBenchmarkError as exc:
         raise _InstanceError(f"{exc} (available: {', '.join(builtin_names())})") from exc
     except OSError as exc:
@@ -59,13 +59,16 @@ def _rule_base_from_env() -> RuleBase | None:
         return None
     try:
         return load_rule_base(path)
-    except (OSError, ParseError, FuzzyDomainError, LookupError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise _UsageError(f"bad {RULEBASE_ENV}: {exc}") from exc
 
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -134,7 +137,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     summary = bench_suite(runs=args.runs, seed=args.seed, rule_base=rule_base)
     sys.stdout.write(render_tables(summary))
     if args.output:
-        Path(args.output).write_text(summary_json(summary))
+        _emit(summary_json(summary), args.output)
     return EXIT_OK
 
 

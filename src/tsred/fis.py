@@ -23,6 +23,11 @@ from .fuzzy import RuleBase, default_rule_base, infer
 
 OPERATORS: tuple[str, ...] = ("swap", "insertion", "reversal", "crossover")
 
+# The inputs select_operator gives the rule base, and the most objective
+# evaluations (population_size x max_iterations) one run may ask for.
+MEASURES = frozenset({"quality", "intensification", "diversification"})
+MAX_EVALUATIONS = 1_000_000
+
 
 class LengthMismatchError(ValueError):
     pass
@@ -137,6 +142,14 @@ class FISConfig:
             raise ParameterError("population_size must be at least 2")
         if self.max_iterations < 1:
             raise ParameterError("max_iterations must be at least 1")
+        if self.population_size * self.max_iterations > MAX_EVALUATIONS:
+            raise ParameterError(
+                f"population_size x max_iterations must not exceed {MAX_EVALUATIONS}"
+            )
+        if self.seed < 0:
+            raise ParameterError("seed must not be negative")
+        if self.rule_base is not None and not MEASURES.issuperset(self.rule_base.inputs):
+            raise ParameterError(f"rule base inputs must be among {sorted(MEASURES)}")
 
 
 @dataclass(frozen=True)

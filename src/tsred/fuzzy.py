@@ -4,17 +4,22 @@ Rules AND their antecedent clauses with min, clip their consequent term at
 the activation level, and the per-rule curves are merged with max.  The
 crisp output is the centroid of the aggregate, estimated on a uniform
 sampling grid; an aggregate that is zero everywhere defuzzifies to the
-midpoint 0.5.
+midpoint 0.5.  The JSON form of a rule base is read by tsred.io.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from .core import ParameterError
+
+# Largest centroid grid a rule base may ask for; every inference step
+# aggregates over the whole grid, so it bounds both memory and time.
+MAX_SAMPLES = 100_001
 
 
 class FuzzyDomainError(ValueError):
@@ -109,8 +114,8 @@ class RuleBase:
     samples: int = 1001
 
     def __post_init__(self):
-        if self.samples < 2:
-            raise ValueError("need at least two grid samples")
+        if not 2 <= self.samples <= MAX_SAMPLES:
+            raise ParameterError(f"grid samples must lie in [2, {MAX_SAMPLES}]")
         if not self.rules:
             raise ValueError("rule base has no rules")
         referenced: set[str] = set()
@@ -237,69 +242,3 @@ def default_rule_base(samples: int = 1001) -> RuleBase:
         rules=_DEFAULT_RULES,
         samples=samples,
     )
-
-
-_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", (int, float): "a number"}
-
-
-def _expect(value, kind, where: str):
-    """`value` itself if it has the JSON type the schema asks for, else ValueError."""
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(f"{where}: expected {_JSON_TYPES[kind]}")
-    return value
-
-
-def _trapezoid_from(raw, where: str) -> Trapezoid:
-    if len(_expect(raw, list, where)) != 4:
-        raise ValueError(f"{where}: expected four breakpoints")
-    return Trapezoid(*(float(_expect(v, (int, float), where)) for v in raw))
-
-
-def _terms(raw, where: str) -> dict[str, Trapezoid]:
-    return {
-        term: _trapezoid_from(bp, f"{where}.{term}")
-        for term, bp in _expect(raw, dict, where).items()
-    }
-
-
-def _rule(raw, where: str) -> Rule:
-    entry = _expect(raw, dict, where)
-    clauses = _expect(entry["if"], dict, f"{where}.if").items()
-    antecedent = {var: _expect(term, str, f"{where}.if.{var}") for var, term in clauses}
-    return Rule.of(antecedent, _expect(entry["then"], str, f"{where}.then"))
-
-
-def rule_base_from_json(text: str, samples: int | None = None) -> RuleBase:
-    """Build a rule base from its JSON description.
-
-    Schema: {"variables": {name: {term: [a, b, c, d]}},
-             "output": {"name": ..., "terms": {term: [a, b, c, d]}},
-             "rules": [{"if": {variable: term}, "then": term}],
-             "samples": 1001}
-
-    A missing key raises KeyError; any other departure from the schema
-    raises ValueError.
-    """
-    raw = _expect(json.loads(text), dict, "rule base")
-    inputs = {
-        var: LinguisticVariable(var, _terms(terms, var))
-        for var, terms in _expect(raw["variables"], dict, "variables").items()
-    }
-    out = _expect(raw["output"], dict, "output")
-    output = LinguisticVariable(
-        _expect(out["name"], str, "output.name"), _terms(out["terms"], "output")
-    )
-    rules = tuple(
-        _rule(entry, f"rules[{i}]") for i, entry in enumerate(_expect(raw["rules"], list, "rules"))
-    )
-    return RuleBase(
-        inputs=inputs,
-        output=output,
-        rules=rules,
-        samples=samples or int(_expect(raw.get("samples", 1001), (int, float), "samples")),
-    )
-
-
-def load_rule_base(path: str, samples: int | None = None) -> RuleBase:
-    with open(path, encoding="utf-8") as fh:
-        return rule_base_from_json(fh.read(), samples=samples)

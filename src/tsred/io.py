@@ -1,19 +1,20 @@
-"""Reading and writing instances and run reports.
+"""Every JSON document tsred reads or writes: instances, run reports and the
+fuzzy controller's rule base.
 
-Both file kinds are JSON.  An instance document:
+    instance:  {"name": "...", "tests": ["t1", ...],
+                "requirements": [{"id": "req_1", "candidates": ["t1", "t2"]}, ...]}
+    report:    {"instance": "...", "algorithm": "...", "seed": 0, "total_tests": 7,
+                "runs": [{"selected": ["t2", "t4", "t1"], "size": 3, "millis": 1.5}],
+                "best_size": 3, "reduction_percent": "57.1"}
+    rule base: {"variables": {name: {term: [a, b, c, d]}},
+                "output": {"name": ..., "terms": {term: [a, b, c, d]}},
+                "rules": [{"if": {variable: term}, "then": term}], "samples": 1001}
 
-    {"name": "...", "tests": ["t1", ...],
-     "requirements": [{"id": "req_1", "candidates": ["t1", "t2"]}, ...]}
-
-A run report:
-
-    {"instance": "...", "algorithm": "...", "seed": 0, "total_tests": 7,
-     "runs": [{"selected": ["t2", "t4", "t1"], "size": 3, "millis": 1.5}],
-     "best_size": 3, "reduction_percent": "57.1"}
-
-Parsing is purely syntactic; semantic checks live in core.validate_instance.
-write_report re-validates every selected set against the instance before
-serializing, so an invalid set can never reach disk through this path.
+One strict reader parses all three: UTF-8 JSON in which every field has its
+JSON type (a boolean is not a number), else a ParseError naming the field.
+Semantic checks live in core.validate_instance and the fuzzy dataclasses.
+write_report re-checks every selected set with is_cover, so an invalid set
+never reaches disk through this path.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .core import Instance, Reduction, is_cover, reduction_percent, validate_instance
+from .fuzzy import LinguisticVariable, Rule, RuleBase, Trapezoid
 
 
 class ParseError(ValueError):
@@ -74,59 +76,74 @@ class InstanceDocument:
         )
 
 
-def _loads(text: str) -> Any:
+def _loads(data: str | bytes) -> Any:
+    """One JSON document from text or UTF-8 bytes; anything else is a ParseError."""
     try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    except ValueError as exc:  # not UTF-8, or an integer too long to convert
+        raise ParseError(str(exc)) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
 
 
-def _field(obj: dict, name: str, kind: type, desc: str) -> Any:
-    if not isinstance(obj, dict) or name not in obj:
-        raise MissingFieldError(name)
-    value = obj[name]
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
-        raise FieldTypeError(name, desc)
+def write_json(payload: Any) -> str:
+    """The canonical serialization of every document tsred writes."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_NUMBER = (int, float)
+_EXPECTED = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+             _NUMBER: "a number"}
+
+
+def _typed(value: Any, kind: Any, path: str) -> Any:
+    """`value` itself if it has the JSON type `kind`, else FieldTypeError."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise FieldTypeError(path, _EXPECTED[kind])
     return value
 
 
-def _strings(value: Any, field: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise FieldTypeError(field, "list of strings")
+def _field(obj: dict, key: str, kind: Any, at: str = "") -> Any:
+    """Member `key` of the object at path `at`, which must exist and have type `kind`."""
+    path = f"{at}.{key}" if at else key
+    if key not in obj:
+        raise MissingFieldError(path)
+    return _typed(obj[key], kind, path)
+
+
+def _strings(obj: dict, key: str, at: str = "") -> tuple[str, ...]:
+    value = _field(obj, key, list, at)
+    if not all(isinstance(v, str) for v in value):
+        raise FieldTypeError(f"{at}.{key}" if at else key, "a list of strings")
     return tuple(value)
 
 
-def parse_instance(text: str) -> InstanceDocument:
-    """Parse an instance document from JSON text."""
-    raw = _loads(text)
-    name = _field(raw, "name", str, "string")
-    tests = _strings(_field(raw, "tests", list, "list of strings"), "tests")
-    reqs = _field(raw, "requirements", list, "list of objects")
+def parse_instance(data: str | bytes) -> InstanceDocument:
+    """Parse an instance document from JSON text or UTF-8 bytes."""
+    raw = _typed(_loads(data), dict, "instance")
+    name = _field(raw, "name", str)
+    tests = _strings(raw, "tests")
     entries = []
-    for i, entry in enumerate(reqs):
+    for i, entry in enumerate(_field(raw, "requirements", list)):
         where = f"requirements[{i}]"
-        if not isinstance(entry, dict):
-            raise FieldTypeError(where, "object")
-        for key in ("id", "candidates"):
-            if key not in entry:
-                raise MissingFieldError(f"{where}.{key}")
-        if not isinstance(entry["id"], str):
-            raise FieldTypeError(f"{where}.id", "string")
+        _typed(entry, dict, where)
         entries.append(
-            RequirementEntry(entry["id"], _strings(entry["candidates"], f"{where}.candidates"))
+            RequirementEntry(_field(entry, "id", str, where), _strings(entry, "candidates", where))
         )
     return InstanceDocument(name, tests, tuple(entries))
 
 
 def write_instance(doc: InstanceDocument) -> str:
-    payload = {
+    return write_json({
         "name": doc.name,
         "tests": list(doc.tests),
         "requirements": [
             {"id": r.id, "candidates": list(r.candidates)} for r in doc.requirements
         ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    })
 
 
 @dataclass(frozen=True)
@@ -179,7 +196,7 @@ def write_report(report: RunReport, instance: Instance) -> str:
     problems = _report_problems(report, instance)
     if problems:
         raise InvalidReportError("; ".join(problems))
-    payload = {
+    return write_json({
         "instance": report.instance,
         "algorithm": report.algorithm,
         "seed": report.seed,
@@ -190,37 +207,69 @@ def write_report(report: RunReport, instance: Instance) -> str:
         ],
         "best_size": report.best_size,
         "reduction_percent": report.reduction.text,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    })
 
 
-def parse_report(text: str) -> RunReport:
-    raw = _loads(text)
+def parse_report(data: str | bytes) -> RunReport:
+    raw = _typed(_loads(data), dict, "report")
     runs = []
-    for i, entry in enumerate(_field(raw, "runs", list, "list of objects")):
-        if not isinstance(entry, dict):
-            raise FieldTypeError(f"runs[{i}]", "object")
-        for key in ("selected", "size", "millis"):
-            if key not in entry:
-                raise MissingFieldError(f"runs[{i}].{key}")
+    for i, entry in enumerate(_field(raw, "runs", list)):
+        where = f"runs[{i}]"
+        _typed(entry, dict, where)
         runs.append(
             RunResult(
-                tuple(str(t) for t in entry["selected"]),
-                int(entry["size"]),
-                float(entry["millis"]),
+                _strings(entry, "selected", where),
+                _field(entry, "size", int, where),
+                float(_field(entry, "millis", _NUMBER, where)),
             )
         )
     report = RunReport(
-        instance=_field(raw, "instance", str, "string"),
-        algorithm=_field(raw, "algorithm", str, "string"),
-        seed=_field(raw, "seed", int, "integer"),
-        total_tests=_field(raw, "total_tests", int, "integer"),
+        instance=_field(raw, "instance", str),
+        algorithm=_field(raw, "algorithm", str),
+        seed=_field(raw, "seed", int),
+        total_tests=_field(raw, "total_tests", int),
         runs=tuple(runs),
-        best_size=_field(raw, "best_size", int, "integer"),
+        best_size=_field(raw, "best_size", int),
     )
-    stated = _field(raw, "reduction_percent", str, "string")
+    stated = _field(raw, "reduction_percent", str)
     if stated != report.reduction.text:
         raise InvalidReportError(
             f"reduction_percent {stated!r} does not match best_size {report.best_size}"
         )
     return report
+
+
+def _trapezoid(raw: Any, path: str) -> Trapezoid:
+    if len(_typed(raw, list, path)) != 4:
+        raise FieldTypeError(path, "four breakpoints")
+    return Trapezoid(*(float(_typed(v, _NUMBER, f"{path}[{i}]")) for i, v in enumerate(raw)))
+
+
+def _terms(raw: Any, path: str) -> dict[str, Trapezoid]:
+    return {t: _trapezoid(bp, f"{path}.{t}") for t, bp in _typed(raw, dict, path).items()}
+
+
+def _rule(raw: Any, path: str) -> Rule:
+    clauses = _field(_typed(raw, dict, path), "if", dict, path)
+    antecedent = {var: _typed(term, str, f"{path}.if.{var}") for var, term in clauses.items()}
+    return Rule.of(antecedent, _field(raw, "then", str, path))
+
+
+def rule_base_from_json(data: str | bytes) -> RuleBase:
+    """A rule base; `samples`, the centroid grid size, is an optional integer."""
+    raw = _typed(_loads(data), dict, "rule base")
+    inputs = {
+        var: LinguisticVariable(var, _terms(terms, f"variables.{var}"))
+        for var, terms in _field(raw, "variables", dict).items()
+    }
+    out = _field(raw, "output", dict)
+    terms = _terms(_field(out, "terms", dict, "output"), "output.terms")
+    output = LinguisticVariable(_field(out, "name", str, "output"), terms)
+    rules = tuple(_rule(entry, f"rules[{i}]") for i, entry in enumerate(_field(raw, "rules", list)))
+    samples = _typed(raw.get("samples", RuleBase.samples), int, "samples")
+    return RuleBase(inputs, output, rules, samples)
+
+
+def load_rule_base(path: str) -> RuleBase:
+    with open(path, "rb") as fh:
+        return rule_base_from_json(fh.read())

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import brute_minimum, covers_naive, ge_naive, gre_naive, hgs_naive, random_instance
 from tsred import (
     FISConfig,
+    ParameterError,
     SAParams,
     builtin,
     greedy_ge,
@@ -144,6 +145,13 @@ class TestSimulatedAnnealing:
             SAParams(t_initial=0.5, t_final=0.5)
         with pytest.raises(ValueError):
             SAParams(t_final=-1.0)
+        with pytest.raises(ParameterError):
+            SAParams(t_initial=float("inf"))
+        with pytest.raises(ParameterError, match="seed"):
+            SAParams(seed=-1)
+        SAParams(alpha=0.9999, t_initial=1e30)  # about 7.6e5 steps
+        with pytest.raises(ParameterError, match="steps"):
+            SAParams(alpha=0.99999, t_initial=1e30)
 
     def test_default_schedule_length(self):
         res = simulated_annealing(builtin("experiment-1"), SAParams(seed=0))

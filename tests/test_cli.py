@@ -73,6 +73,12 @@ def test_solve_rejects_unknown_algorithm(capsys):
         ("solve", "--instance", EXP1, "--algorithm", "sa", "--alpha", "1.5"),
         ("oracle", "--instance", EXP1, "--enumerate", "--cap", "0"),
         ("bench", "--runs", "0"),
+        ("solve", "--instance", EXP1, "--algorithm", "fis", "--seed", "-1"),
+        ("solve", "--instance", EXP1, "--algorithm", "sa", "--seed", "-1"),
+        ("bench", "--seed", "-1"),
+        # about 7e8 cooling steps: refused before the first one
+        ("solve", "--instance", EXP1, "--algorithm", "sa", "--t-initial", "1e308",
+         "--alpha", "0.999999"),
     ],
 )
 def test_out_of_range_setting_is_usage_error(capsys, argv):
@@ -116,6 +122,24 @@ def test_structurally_invalid_file_is_instance_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "validate", "--instance", str(path), "--selection", "t1")
     assert code == 3
     assert "ghost" in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("solve", "--instance", EXP1, "--output", "{missing}/report.json"), 2),
+        (("bench", "--runs", "1", "--output", "{missing}/summary.json"), 2),
+        (("oracle", "--instance", "{latin1}"), 3),
+    ],
+    ids=["solve-output", "bench-output", "non-utf8-instance"],
+)
+def test_file_error_is_reported(capsys, tmp_path, argv, expected):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(json.dumps({"name": "caf\u00e9"}, ensure_ascii=False).encode("latin-1"))
+    argv = [a.format(missing=tmp_path / "missing", latin1=latin1) for a in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == expected
+    assert err.startswith("error: ")
 
 
 def write_doc(tmp_path, doc):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tsred import (
     OPERATORS,
     FISConfig,
+    ParameterError,
     builtin,
     hamming,
     measure_diversification,
@@ -15,6 +16,7 @@ from tsred import (
     select_operator,
 )
 from tsred.fis import (
+    MAX_EVALUATIONS,
     LengthMismatchError,
     apply_operator,
     insert_at,
@@ -134,6 +136,15 @@ def test_config_validation():
         FISConfig(population_size=1)
     with pytest.raises(ValueError):
         FISConfig(max_iterations=0)
+    with pytest.raises(ParameterError, match="seed"):
+        FISConfig(seed=-1)
+    FISConfig(population_size=MAX_EVALUATIONS // 100, max_iterations=100)
+    with pytest.raises(ParameterError, match="must not exceed"):
+        FISConfig(population_size=MAX_EVALUATIONS // 100 + 1, max_iterations=100)
+    push = LinguisticVariable("push", {"Any": Trapezoid(0, 0, 1, 1)})
+    foreign = RuleBase({"push": push}, push, (Rule.of({"push": "Any"}, "Any"),))
+    with pytest.raises(ParameterError, match="inputs"):
+        FISConfig(rule_base=foreign)
 
 
 def test_run_is_deterministic_per_seed():

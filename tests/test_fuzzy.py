@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import trapezoid_centroid_exact
 from tsred import (
     LinguisticVariable,
+    ParameterError,
     Rule,
     RuleBase,
     Trapezoid,
@@ -18,6 +19,7 @@ from tsred import (
     rule_base_from_json,
 )
 from tsred.fuzzy import (
+    MAX_SAMPLES,
     FuzzyDomainError,
     MissingInputError,
     aggregate,
@@ -110,6 +112,9 @@ def test_rule_base_validation():
         RuleBase(rb.inputs, rb.output, ())
     with pytest.raises(ValueError, match="samples"):
         RuleBase(rb.inputs, rb.output, rb.rules, samples=1)
+    RuleBase(rb.inputs, rb.output, rb.rules, samples=MAX_SAMPLES)
+    with pytest.raises(ParameterError, match="samples"):
+        RuleBase(rb.inputs, rb.output, rb.rules, samples=MAX_SAMPLES + 1)
 
 
 def test_activation_min_and_level_max():

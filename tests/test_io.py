@@ -11,6 +11,7 @@ from tsred import (
     builtin_names,
     parse_instance,
     parse_report,
+    rule_base_from_json,
     write_instance,
     write_report,
 )
@@ -19,6 +20,7 @@ from tsred.io import (
     FieldTypeError,
     InvalidReportError,
     MissingFieldError,
+    ParseError,
     ParseSyntaxError,
     RequirementEntry,
 )
@@ -73,6 +75,16 @@ def test_parse_instance_missing_field():
 def test_parse_instance_wrong_type():
     with pytest.raises(FieldTypeError):
         parse_instance('{"name": "x", "tests": "a", "requirements": []}')
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b'{"name": "caf\xe9"}', "[" * 100_000, '{"name": ' + "1" * 5000 + "}"],
+    ids=["not-utf8", "too-deep", "integer-too-long"],
+)
+def test_unreadable_json_is_parse_error(data):
+    with pytest.raises(ParseError):
+        parse_instance(data)
 
 
 def test_builtin_names_and_lookup():
@@ -193,3 +205,42 @@ def test_parse_report_rejects_inconsistent_reduction():
     payload["reduction_percent"] = "99.9"
     with pytest.raises(InvalidReportError):
         parse_report(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "field, value", [("selected", "t7"), ("size", "2"), ("size", True), ("millis", "1")]
+)
+def test_parse_report_rejects_mistyped_run_field(field, value):
+    inst = builtin("experiment-1")
+    payload = json.loads(write_report(_report(inst), inst))
+    payload["runs"][0][field] = value
+    with pytest.raises(FieldTypeError) as exc:
+        parse_report(json.dumps(payload))
+    assert exc.value.field == f"runs[0].{field}"
+
+
+def _any_rule_base():
+    anything = {"Any": [0, 0, 1, 1]}
+    return {
+        "variables": {"quality": anything},
+        "output": {"name": "decision", "terms": anything},
+        "rules": [{"if": {"quality": "Any"}, "then": "Any"}],
+    }
+
+
+@pytest.mark.parametrize(
+    "mutate, error, field",
+    [
+        (lambda rb: rb["output"].pop("name"), MissingFieldError, "output.name"),
+        (lambda rb: rb["rules"][0].update(then=1), FieldTypeError, "rules[0].then"),
+        (lambda rb: rb.update(samples=1001.5), FieldTypeError, "samples"),
+    ],
+    ids=["missing-key", "wrong-type", "non-integer-samples"],
+)
+def test_rule_base_from_json_names_bad_field(mutate, error, field):
+    payload = _any_rule_base()
+    assert rule_base_from_json(json.dumps(payload)).samples == 1001
+    mutate(payload)
+    with pytest.raises(error) as exc:
+        rule_base_from_json(json.dumps(payload))
+    assert exc.value.field == field
