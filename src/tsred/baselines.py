@@ -156,8 +156,10 @@ def simulated_annealing(instance: Instance, params: SAParams | None = None) -> S
     history: list[int] = []
     while temperature > stop:
         if n >= 2:
-            candidate = swap_at(current, *two_positions(rng, n))
-            cand_obj = objective(instance, candidate)
+            i, j = two_positions(rng, n)
+            candidate = swap_at(current, i, j)
+            # a swap wholly past the covering prefix leaves the objective alone
+            cand_obj = current_obj if min(i, j) >= current_obj else objective(instance, candidate)
             delta = cand_obj - current_obj
             if delta <= 0 or rng.random() < math.exp(-delta / temperature):
                 current, current_obj = candidate, cand_obj

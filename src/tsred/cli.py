@@ -63,6 +63,20 @@ def _rule_base_from_env() -> RuleBase | None:
         raise _UsageError(f"bad {RULEBASE_ENV}: {exc}") from exc
 
 
+def _check_output(output: str | None) -> None:
+    """Refuse an `output` path that cannot be written before any solver runs.
+
+    Opening for appending creates a missing file but leaves an existing one
+    as it is until `_emit` replaces it.
+    """
+    if output:
+        try:
+            with open(output, "a"):
+                pass
+        except OSError as exc:
+            raise _UsageError(f"cannot write output: {exc}") from exc
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         try:
@@ -81,6 +95,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         rule_base=_rule_base_from_env(),
     )
     sa_params = SAParams(alpha=args.alpha, t_initial=args.t_initial)
+    _check_output(args.output)
     report = solve_report(
         instance,
         args.algorithm,
@@ -134,6 +149,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     rule_base = _rule_base_from_env()
+    _check_output(args.output)
     summary = bench_suite(runs=args.runs, seed=args.seed, rule_base=rule_base)
     sys.stdout.write(render_tables(summary))
     if args.output:

@@ -253,13 +253,16 @@ def swap_at(p: Sequence[int], i: int, j: int) -> tuple[int, ...]:
     return tuple(q)
 
 
+def distinct_pair(i: int, j: int) -> tuple[int, int]:
+    """Two distinct positions from a draw i below n and a draw j below n - 1:
+    j is moved one step up when it reaches i, so it is uniform among the rest."""
+    return i, j + (j >= i)
+
+
 def two_positions(rng: np.random.Generator, n: int) -> tuple[int, int]:
     """Two distinct positions below n: i uniform, then j uniform among the rest."""
     i = int(rng.integers(n))
-    j = int(rng.integers(n - 1))
-    if j >= i:
-        j += 1
-    return i, j
+    return distinct_pair(i, int(rng.integers(n - 1)))
 
 
 class Reduction(NamedTuple):

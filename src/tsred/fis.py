@@ -8,17 +8,23 @@ candidate, and the rule base decides whether to keep the current operator or
 swap it for a uniformly random different one.
 
 All randomness flows from one numpy PCG64 generator seeded by the config, so
-runs are reproducible across platforms.
+runs are reproducible across platforms.  Each iteration takes every position
+draw of the whole population in one batched `rng.integers` call, which
+yields the same values as drawing them one at a time, member by member.  A
+move whose lowest touched position lies at or past the member's covering
+prefix cannot change that prefix, so it is not re-evaluated: its objective
+is the member's own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ne
 from typing import Sequence
 
 import numpy as np
 
-from .core import Instance, ParameterError, Solution, decode, objective, swap_at, two_positions
+from .core import Instance, ParameterError, Solution, decode, distinct_pair, objective, swap_at
 from .fuzzy import RuleBase, default_rule_base, infer
 
 OPERATORS: tuple[str, ...] = ("swap", "insertion", "reversal", "crossover")
@@ -39,7 +45,7 @@ def hamming(p: Sequence[int], q: Sequence[int]) -> float:
         raise LengthMismatchError(f"lengths differ: {len(p)} vs {len(q)}")
     if not p:
         return 0.0
-    return sum(a != b for a, b in zip(p, q)) / len(p)
+    return sum(map(ne, p, q)) / len(p)
 
 
 def measure_quality(previous_objective: int, current_objective: int, n: int) -> float:
@@ -81,24 +87,54 @@ def order_crossover(p: Sequence[int], mate: Sequence[int], i: int, j: int) -> tu
     return tuple(rest[:i]) + segment + tuple(rest[i:])
 
 
+def move(op: str, p: Sequence[int], mate: Sequence[int], i: int, j: int) -> tuple[int, ...]:
+    """The named operator applied to p at positions i and j.
+
+    swap exchanges p[i] and p[j], insertion moves p[i] to position j,
+    reversal reverses p[i..j] and crossover keeps p[i..j] in place and fills
+    the other slots in mate order.  Swap, insertion and reversal leave every
+    position before min(i, j) as it is.
+    """
+    if op == "swap":
+        return swap_at(p, i, j)
+    if op == "insertion":
+        return insert_at(p, i, j)
+    if op == "reversal":
+        return reverse_segment(p, i, j)
+    if op == "crossover":
+        return order_crossover(p, mate, i, j)
+    raise ValueError(f"unknown operator: {op!r}")
+
+
+def _position_bounds(op: str, n: int) -> tuple[int, ...]:
+    """Upper bounds of the position draws one application of `op` to a
+    permutation of n makes, in draw order; none when n < 2."""
+    if n < 2:
+        return ()
+    return (n, n) if op == "insertion" else (n, n - 1)
+
+
+def _positions(op: str, draws: Sequence[int]) -> tuple[int, int]:
+    """The positions `move` takes, from draws below `_position_bounds`.
+
+    Without draws (a single position) this is (0, 0), which moves nothing.
+    """
+    if not draws:
+        return 0, 0
+    i, j = draws
+    if op == "insertion":
+        return i, j
+    i, j = distinct_pair(i, j)
+    return (i, j) if op == "swap" else (min(i, j), max(i, j))
+
+
 def apply_operator(
     op: str, p: Sequence[int], mate: Sequence[int], rng: np.random.Generator
 ) -> tuple[int, ...]:
-    """One random application of the named operator; always a valid permutation."""
-    n = len(p)
-    if n < 2:
-        return tuple(p)
-    if op == "swap":
-        return swap_at(p, *two_positions(rng, n))
-    if op == "insertion":
-        return insert_at(p, int(rng.integers(n)), int(rng.integers(n)))
-    if op == "reversal":
-        i, j = sorted(two_positions(rng, n))
-        return reverse_segment(p, i, j)
-    if op == "crossover":
-        i, j = sorted(two_positions(rng, n))
-        return order_crossover(p, mate, i, j)
-    raise ValueError(f"unknown operator: {op!r}")
+    """One random application of the named operator: its position draws,
+    then `move`.  Always a valid permutation."""
+    draws = [int(rng.integers(high)) for high in _position_bounds(op, len(p))]
+    return move(op, p, mate, *_positions(op, draws))
 
 
 def select_operator(
@@ -164,14 +200,19 @@ def run_fis(instance: Instance, config: FISConfig | None = None) -> FISResult:
     rb = cfg.rule_base or default_rule_base()
     rng = np.random.default_rng(cfg.seed)
     n = instance.n
+    size = cfg.population_size
 
-    population = [
-        tuple(int(v) for v in rng.permutation(n)) for _ in range(cfg.population_size)
-    ]
+    population = [tuple(int(v) for v in rng.permutation(n)) for _ in range(size)]
     objectives = [objective(instance, p) for p in population]
     best_idx = min(range(len(population)), key=objectives.__getitem__)
     best_perm, best_obj = population[best_idx], objectives[best_idx]
     current_op = OPERATORS[int(rng.integers(len(OPERATORS)))]
+    # Per operator, the bounds of one iteration's draws, one row per member:
+    # crossover's mate draw, then the move's position draws.
+    bounds = {}
+    for op in OPERATORS:
+        row = ((size,) if op == "crossover" else ()) + _position_bounds(op, n)
+        bounds[op] = np.tile(np.array(row, np.int64), (size, 1))
 
     history: list[int] = []
     op_log: list[str] = []
@@ -180,17 +221,22 @@ def run_fis(instance: Instance, config: FISConfig | None = None) -> FISResult:
         previous_best = best_obj
         iter_perm: tuple[int, ...] | None = None
         iter_obj = n + 1
-        for i, member in enumerate(population):
-            if current_op == "crossover":
-                mate = population[int(rng.integers(len(population)))]
-            else:
-                mate = member
-            candidate = apply_operator(current_op, member, mate, rng)
+        crossover = current_op == "crossover"
+        for k, draws in enumerate(rng.integers(bounds[current_op]).tolist()):
+            member, own = population[k], objectives[k]
+            mate = population[draws.pop(0)] if crossover else member
+            i, j = _positions(current_op, draws)
+            if not crossover and min(i, j) >= own:
+                # the move leaves the covering prefix, and so the objective, alone
+                if own < iter_obj:
+                    iter_perm, iter_obj = move(current_op, member, mate, i, j), own
+                continue
+            candidate = move(current_op, member, mate, i, j)
             cand_obj = objective(instance, candidate)
             if cand_obj < iter_obj:
                 iter_perm, iter_obj = candidate, cand_obj
-            if cand_obj < objectives[i]:
-                population[i], objectives[i] = candidate, cand_obj
+            if cand_obj < own:
+                population[k], objectives[k] = candidate, cand_obj
 
         quality = measure_quality(previous_best, iter_obj, n)
         intensification = measure_intensification(iter_perm, best_perm)

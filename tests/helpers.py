@@ -1,17 +1,22 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written the slow, obvious way (plain sets,
-exhaustive enumeration) so it shares no code with the fast bitset versions
-under test.
+exhaustive enumeration, one random draw at a time) so it shares no code with
+the fast versions under test.  The one exception is the fuzzy controller
+that fis_reference consults; tests/test_fuzzy.py checks it on its own.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
-from tsred import Instance, validate_instance
+import numpy as np
+
+from tsred import Instance, Solution, validate_instance
+from tsred.fuzzy import default_rule_base, infer
 
 
 def covers_naive(instance: Instance, selection) -> bool:
@@ -161,3 +166,126 @@ def trapezoid_centroid_exact(a, b, c, d) -> Fraction:
     if area == 0:
         raise ValueError("degenerate trapezoid has no area")
     return moment / area
+
+
+def prefix_length(instance: Instance):
+    """A function giving a permutation's shortest covering prefix, found by
+    growing the set of covered requirement indices one test at a time."""
+    reqs_of = [set() for _ in range(instance.n)]
+    for i, req in enumerate(instance.requirements):
+        for t in req.candidates:
+            reqs_of[t].add(i)
+
+    def length(permutation) -> int:
+        covered: set[int] = set()
+        for k, t in enumerate(permutation):
+            if len(covered) == instance.m:
+                return k
+            covered |= reqs_of[t]
+        assert len(covered) == instance.m, "permutation does not cover"
+        return len(permutation)
+
+    return length
+
+
+def _distinct_pair(rng, n):
+    i = int(rng.integers(n))
+    j = int(rng.integers(n - 1))
+    return i, j + 1 if j >= i else j
+
+
+def _hamming(p, q) -> float:
+    return sum(a != b for a, b in zip(p, q)) / len(p) if p else 0.0
+
+
+def fis_reference(instance: Instance, population_size=20, max_iterations=100, seed=0,
+                  rule_base=None):
+    """The FIS search drawn one scalar at a time, every candidate evaluated.
+
+    Per member: crossover's mate draw, then the operator's position draws
+    (none below two tests); after each iteration the measures go to the
+    fuzzy controller, which is shared with the package and tested on its
+    own.  Returns (solution, history, operators).
+    """
+    ops = ("swap", "insertion", "reversal", "crossover")
+    rule_base = rule_base or default_rule_base()
+    rng = np.random.default_rng(seed)
+    n = instance.n
+    length = prefix_length(instance)
+
+    def mutate(op, p, mate):
+        q = list(p)
+        if n < 2:
+            return tuple(q)
+        if op == "swap":
+            i, j = _distinct_pair(rng, n)
+            q[i], q[j] = q[j], q[i]
+        elif op == "insertion":
+            src = int(rng.integers(n))
+            q.insert(int(rng.integers(n)), q.pop(src))
+        else:
+            i, j = sorted(_distinct_pair(rng, n))
+            segment = q[i : j + 1]
+            if op == "reversal":
+                q[i : j + 1] = segment[::-1]
+            else:  # order crossover: keep the segment, the rest in mate order
+                rest = [t for t in mate if t not in segment]
+                q = rest[:i] + segment + rest[i:]
+        return tuple(q)
+
+    population = [tuple(int(v) for v in rng.permutation(n)) for _ in range(population_size)]
+    values = [length(p) for p in population]
+    first = values.index(min(values))
+    best_perm, best_obj = population[first], values[first]
+    op = ops[int(rng.integers(len(ops)))]
+    history, operators = [], []
+    for _ in range(max_iterations):
+        operators.append(op)
+        previous = best_obj
+        iter_perm, iter_obj = None, n + 1
+        for k in range(population_size):
+            mate = population[int(rng.integers(population_size))] if op == "crossover" else None
+            candidate = mutate(op, population[k], mate)
+            value = length(candidate)
+            if value < iter_obj:
+                iter_perm, iter_obj = candidate, value
+            if value < values[k]:
+                population[k], values[k] = candidate, value
+        inputs = {
+            "quality": min(1.0, max(0.0, 0.5 + (previous - iter_obj) / (2 * n))),
+            "intensification": 1.0 - _hamming(iter_perm, best_perm),
+            "diversification": sum(_hamming(iter_perm, p) for p in population) / population_size,
+        }
+        if iter_obj < best_obj:
+            best_perm, best_obj = iter_perm, iter_obj
+        history.append(best_obj)
+        if infer(rule_base, inputs) < 0.5:
+            others = [o for o in ops if o != op]
+            op = others[int(rng.integers(len(others)))]
+    return Solution(best_perm, best_obj, best_perm[:best_obj]), tuple(history), tuple(operators)
+
+
+def sa_reference(instance: Instance, alpha, t_initial, t_final=0.0, seed=0):
+    """Swap annealing drawn one scalar at a time, every proposal evaluated,
+    cooling until T falls to max(t_final, 0.001).  Returns (solution, history)."""
+    rng = np.random.default_rng(seed)
+    n = instance.n
+    length = prefix_length(instance)
+    current = tuple(int(v) for v in rng.permutation(n))
+    value = length(current)
+    best, best_obj = current, value
+    temperature = t_initial
+    history = []
+    while temperature > max(t_final, 0.001):
+        if n >= 2:
+            i, j = _distinct_pair(rng, n)
+            q = list(current)
+            q[i], q[j] = q[j], q[i]
+            delta = length(q) - value
+            if delta <= 0 or rng.random() < math.exp(-delta / temperature):
+                current, value = tuple(q), value + delta
+                if value < best_obj:
+                    best, best_obj = current, value
+        history.append(best_obj)
+        temperature *= alpha
+    return Solution(best, best_obj, best[:best_obj]), tuple(history)

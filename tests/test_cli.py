@@ -1,10 +1,11 @@
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
 
-from tsred import parse_report, write_instance
+from tsred import cli, parse_report, write_instance
 from tsred.cli import main
 from tsred.corpus import builtin_document
 
@@ -133,12 +134,20 @@ def test_structurally_invalid_file_is_instance_error(capsys, tmp_path):
     ],
     ids=["solve-output", "bench-output", "non-utf8-instance"],
 )
-def test_file_error_is_reported(capsys, tmp_path, argv, expected):
+def test_file_error_is_reported(capsys, tmp_path, monkeypatch, argv, expected):
+    for name in ("solve_report", "bench_suite"):
+
+        @functools.wraps(getattr(cli, name))  # the parser reads its defaults
+        def no_solver(*args, **kwargs):
+            raise AssertionError("a solver ran before the file error was found")
+
+        monkeypatch.setattr(cli, name, no_solver)
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(json.dumps({"name": "caf\u00e9"}, ensure_ascii=False).encode("latin-1"))
     argv = [a.format(missing=tmp_path / "missing", latin1=latin1) for a in argv]
-    code, _, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code == expected
+    assert out == ""  # refused before any solver runs or prints
     assert err.startswith("error: ")
 
 

@@ -20,6 +20,7 @@ from tsred.fis import (
     LengthMismatchError,
     apply_operator,
     insert_at,
+    move,
     order_crossover,
     reverse_segment,
     swap_at,
@@ -82,6 +83,20 @@ def test_apply_operator_preserves_permutation(op, n, seed):
     mate = tuple(int(v) for v in rng.permutation(n))
     out = apply_operator(op, p, mate, rng)
     assert sorted(out) == list(range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(("swap", "insertion", "reversal")), st.data())
+def test_move_keeps_every_position_before_the_lowest_touched(op, data):
+    # run_fis relies on this to skip evaluating moves past the covering prefix
+    n = data.draw(st.integers(2, 12))
+    i, j = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
+    if op == "insertion" and data.draw(st.booleans()):
+        i, j = j, i
+    p = tuple(range(n))
+    out = move(op, p, p, i, j)
+    assert sorted(out) == list(range(n))
+    assert out[: min(i, j)] == p[: min(i, j)]
 
 
 def test_apply_operator_single_element_is_noop():

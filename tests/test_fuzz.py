@@ -1,5 +1,6 @@
-"""Mutated instance and rule-base documents never crash the CLI: each run of
-main() returns one of the documented exit codes instead of raising."""
+"""Mutated instance and rule-base documents, and arbitrary flag values, never
+crash the CLI: each run of main() returns one of the documented exit codes
+instead of raising."""
 
 import copy
 import json
@@ -7,9 +8,10 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tsred import write_instance
+from tsred import ALGORITHMS, write_instance
 from tsred.cli import main
 from tsred.corpus import builtin_document
+from tsred.fis import MAX_EVALUATIONS
 
 EXIT_CODES = {0, 1, 2, 3}
 
@@ -99,4 +101,85 @@ def test_mutated_rule_base_never_crashes_fis(capsys, tmp_path, monkeypatch, data
     argv = ["solve", "--instance", "builtin:experiment-1", "--algorithm", "fis",
             "--population", "2", "--iterations", "1"]
     assert main(argv) in EXIT_CODES
+    capsys.readouterr()
+
+
+def _not_a_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+def flag(numbers):
+    """Values for a numeric flag: one of `numbers` as text, or text that is
+    no number at all."""
+    return numbers.map(str) | st.text(max_size=6).filter(_not_a_number)
+
+
+NAN = st.just(float("nan"))
+# Per numeric solve flag: values in range, then values that must be refused.
+# Every run the flags allow stays small: a FIS budget of at most 4 x 4, or
+# one over MAX_EVALUATIONS; alpha at most 0.5, which cools from any finite
+# t_initial in about 10^3 steps or fewer; at most 3 runs.
+SOLVE_FLAGS = {
+    "--population": (
+        st.integers(2, 4),
+        flag(st.integers(-2, 1) | st.integers(min_value=MAX_EVALUATIONS + 1)),
+    ),
+    "--iterations": (
+        st.integers(1, 4),
+        flag(st.integers(max_value=0) | st.integers(min_value=MAX_EVALUATIONS + 1)),
+    ),
+    "--alpha": (
+        st.floats(0, 0.5, exclude_min=True),
+        flag(st.floats(max_value=0) | st.floats(min_value=1) | NAN),
+    ),
+    "--t-initial": (
+        st.floats(0, exclude_min=True, allow_infinity=False),
+        flag(st.floats(max_value=0) | st.just(float("inf")) | NAN),
+    ),
+    "--seed": (st.integers(min_value=0), flag(st.integers(max_value=-1))),
+    "--runs": (st.integers(1, 3), flag(st.integers(max_value=0))),
+}
+
+
+@st.composite
+def solve_argv(draw):
+    """A solve command line with every numeric flag in range except up to two."""
+    values = {name: str(draw(good)) for name, (good, _) in SOLVE_FLAGS.items()}
+    for name in draw(st.lists(st.sampled_from(list(SOLVE_FLAGS)), max_size=2, unique=True)):
+        values[name] = draw(SOLVE_FLAGS[name][1])
+    argv = ["solve", "--instance", "builtin:experiment-1",
+            f"--algorithm={draw(st.sampled_from(ALGORITHMS))}"]
+    return argv + [f"{name}={value}" for name, value in values.items()]
+
+
+@FUZZ
+@given(argv=solve_argv())
+def test_numeric_solve_flags_never_crash(capsys, argv):
+    assert main(argv) in {0, 2}
+    capsys.readouterr()
+
+
+@FUZZ
+@given(cap=flag(st.integers()))
+def test_enumeration_cap_never_crashes(capsys, cap):
+    argv = ["oracle", "--instance", "builtin:experiment-1", "--enumerate", f"--cap={cap}"]
+    assert main(argv) in {0, 2}
+    capsys.readouterr()
+
+
+TEST_IDS = INSTANCE["tests"]
+SELECTION = st.text(max_size=12) | st.lists(
+    st.sampled_from(TEST_IDS) | st.text(max_size=4), max_size=8
+).map(",".join)
+
+
+@FUZZ
+@given(selection=SELECTION)
+def test_any_selection_is_judged_or_refused(capsys, selection):
+    argv = ["validate", "--instance", "builtin:experiment-1", f"--selection={selection}"]
+    assert main(argv) in {0, 1, 2}
     capsys.readouterr()

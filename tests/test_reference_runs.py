@@ -1,0 +1,118 @@
+"""FIS and SA against their scalar-draw references in helpers.py.
+
+run_fis takes each iteration's position draws in one batched call and skips
+the evaluation of moves that leave the covering prefix alone; SA skips it for
+swaps past the prefix.  Neither may change a result: for a given seed the
+solution, the history and the operator log must equal those of the plain
+loops, which draw one scalar at a time and evaluate every candidate.
+"""
+
+import random
+
+import pytest
+
+from helpers import fis_reference, sa_reference
+from tsred import FISConfig, SAParams, builtin, run_fis, simulated_annealing, validate_instance
+from tsred.corpus import builtin_names
+from tsred.fuzzy import LinguisticVariable, Rule, RuleBase, Trapezoid
+
+SEEDS = range(1, 16)
+
+
+def seeded_instance(seed: int, n: int, m: int, max_candidates: int):
+    rng = random.Random(seed)
+    tests = [f"t{j}" for j in range(n)]
+    requirements = [
+        (f"r{i}", rng.sample(tests, rng.randint(1, min(n, max_candidates)))) for i in range(m)
+    ]
+    return validate_instance(f"seeded-{n}x{m}", tests, requirements)
+
+
+EDGE = {
+    "one-test": seeded_instance(1, 1, 3, 1),
+    "two-tests": seeded_instance(2, 2, 4, 2),
+    "no-requirements": seeded_instance(3, 6, 0, 1),
+    "wide-48x120": seeded_instance(4, 48, 120, 6),  # masks wider than 64 bits
+}
+
+
+DECISION = LinguisticVariable(
+    "decision", {"Change": Trapezoid(0, 0, 0.3, 0.5), "Maintain": Trapezoid(0.5, 0.7, 1, 1)}
+)
+
+
+def always_change() -> RuleBase:
+    """A rule base that concludes Change whatever the inputs, so the operator
+    switch draws one value after every iteration."""
+    anything = LinguisticVariable("quality", {"Any": Trapezoid(0, 0, 1, 1)})
+    return RuleBase({"quality": anything}, DECISION, (Rule.of({"quality": "Any"}, "Change"),))
+
+
+def change_when_worse() -> RuleBase:
+    """A rule base that switches exactly when the iteration's best candidate
+    is worse than the incumbent (quality below 0.5, for up to 50 tests), so
+    every iteration's best objective shows in the operator log."""
+    quality = LinguisticVariable(
+        "quality", {"Worse": Trapezoid(0, 0, 0.49, 0.495), "Steady": Trapezoid(0.495, 0.5, 1, 1)}
+    )
+    rules = (Rule.of({"quality": "Worse"}, "Change"), Rule.of({"quality": "Steady"}, "Maintain"))
+    return RuleBase({"quality": quality}, DECISION, rules)
+
+
+def assert_fis_matches(instance, config: FISConfig):
+    result = run_fis(instance, config)
+    solution, history, operators = fis_reference(
+        instance, config.population_size, config.max_iterations, config.seed, config.rule_base
+    )
+    assert result.solution == solution
+    assert result.history == history
+    assert result.operators == operators
+
+
+def assert_sa_matches(instance, params: SAParams):
+    result = simulated_annealing(instance, params)
+    solution, history = sa_reference(
+        instance, params.alpha, params.t_initial, params.t_final, params.seed
+    )
+    assert result.solution == solution
+    assert result.history == history
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_fis_matches_reference_on_bundled(name):
+    instance = builtin(name)
+    for seed in SEEDS:
+        assert_fis_matches(instance, FISConfig(seed=seed))
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_sa_matches_reference_on_bundled(name):
+    instance = builtin(name)
+    for seed in SEEDS:
+        assert_sa_matches(instance, SAParams(seed=seed))
+
+
+@pytest.mark.parametrize("name", EDGE)
+def test_fis_and_sa_match_reference_on_edge_instances(name):
+    instance = EDGE[name]
+    for seed in range(1, 4):
+        assert_fis_matches(instance, FISConfig(population_size=8, max_iterations=40, seed=seed))
+        assert_sa_matches(instance, SAParams(seed=seed))
+
+
+@pytest.mark.parametrize("name", ["experiment-4", *EDGE])
+def test_fis_matches_reference_when_every_iteration_switches(name):
+    instance = EDGE[name] if name in EDGE else builtin(name)
+    for seed in range(1, 4):
+        config = FISConfig(population_size=5, max_iterations=40, seed=seed,
+                           rule_base=always_change())
+        result = run_fis(instance, config)
+        assert all(a != b for a, b in zip(result.operators, result.operators[1:]))
+        assert_fis_matches(instance, config)
+
+
+@pytest.mark.parametrize("name", ["experiment-4", "experiment-5", "wide-48x120"])
+def test_fis_matches_reference_when_switching_on_worse_iterations(name):
+    instance = EDGE[name] if name in EDGE else builtin(name)
+    for seed in range(1, 6):
+        assert_fis_matches(instance, FISConfig(seed=seed, rule_base=change_when_worse()))
