@@ -21,10 +21,11 @@ from .core import (
     best_gain,
     coverage,
     decode,
+    distinct_pair,
     essential_tests,
+    greedy_fill,
     objective,
     swap_at,
-    two_positions,
     undominated,
 )
 
@@ -32,16 +33,10 @@ from .core import (
 def greedy_ge(instance: Instance) -> list[int]:
     """Essential tests first, then repeatedly the test covering the most
     uncovered requirements.  Returns test indices in selection order."""
-    masks = instance.test_masks
-    full = instance.full_mask
     everyone = (1 << instance.n) - 1
-    selected = essential_tests(instance.candidate_masks, full, everyone)
-    covered = coverage(instance, selected)
-    while covered != full:
-        t = best_gain(masks, full & ~covered, everyone)
-        selected.append(t)
-        covered |= masks[t]
-    return selected
+    selected = essential_tests(instance.candidate_masks, instance.full_mask, everyone)
+    uncovered = instance.full_mask & ~coverage(instance, selected)
+    return selected + greedy_fill(instance.test_masks, uncovered, everyone)
 
 
 def greedy_gre(instance: Instance) -> list[int]:
@@ -156,7 +151,7 @@ def simulated_annealing(instance: Instance, params: SAParams | None = None) -> S
     history: list[int] = []
     while temperature > stop:
         if n >= 2:
-            i, j = two_positions(rng, n)
+            i, j = distinct_pair(int(rng.integers(n)), int(rng.integers(n - 1)))
             candidate = swap_at(current, i, j)
             # a swap wholly past the covering prefix leaves the objective alone
             cand_obj = current_obj if min(i, j) >= current_obj else objective(instance, candidate)

@@ -15,6 +15,13 @@ from .fuzzy import RuleBase
 from .io import RunReport, RunResult, write_json
 from .oracle import minimum_cover
 
+MAX_RUNS = 10_000  # most runs one report or sweep may ask for per (instance, algorithm)
+
+
+def _check_runs(runs: int) -> None:
+    if not 1 <= runs <= MAX_RUNS:
+        raise ParameterError(f"runs must lie in [1, {MAX_RUNS}]")
+
 
 def _fis(instance: Instance, seed: int, fis_config: FISConfig, sa_params: SAParams):
     return run_fis(instance, replace(fis_config, seed=seed)).solution.selected
@@ -73,8 +80,7 @@ def solve_report(
 ) -> RunReport:
     """Repeated runs as a verifiable report.  Run k of K uses seed + k
     (0-based), so a K-run report at seed s covers seeds s .. s+K-1."""
-    if runs < 1:
-        raise ParameterError("runs must be positive")
+    _check_runs(runs)
     results = []
     for k in range(runs):
         t0 = clock()
@@ -122,6 +128,7 @@ def bench_suite(
 ) -> BenchSummary:
     """Full sweep: every algorithm on every bundled instance, plus the exact
     minimum for reference."""
+    _check_runs(runs)
     names = builtin_names()
     fis_config = FISConfig(rule_base=rule_base)
     cells = []

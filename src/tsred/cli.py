@@ -18,7 +18,7 @@ from .core import Instance, InvalidInstanceError, ParameterError, is_cover, redu
 from .corpus import UnknownBenchmarkError, builtin_names, builtin_document
 from .fis import FISConfig
 from .fuzzy import RuleBase
-from .io import ParseError, load_rule_base, write_report
+from .io import ParseError, load_rule_base, parse_instance, write_report
 from .oracle import TooLargeError, enumerate_minimum_covers, minimum_cover
 
 EXIT_OK = 0
@@ -41,10 +41,7 @@ def _load_instance(source: str) -> Instance:
     try:
         if source.startswith("builtin:"):
             return builtin_document(source[len("builtin:") :]).to_instance()
-        data = Path(source).read_bytes()
-        from .io import parse_instance
-
-        return parse_instance(data).to_instance()
+        return parse_instance(Path(source).read_bytes()).to_instance()
     except UnknownBenchmarkError as exc:
         raise _InstanceError(f"{exc} (available: {', '.join(builtin_names())})") from exc
     except OSError as exc:

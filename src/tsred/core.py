@@ -15,10 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterable, NamedTuple, Sequence
 
 
 @dataclass(frozen=True)
@@ -177,6 +174,16 @@ def best_gain(masks: Sequence[int], uncovered: int, pool: int) -> int:
     return tests[gains.index(top)] if top else -1
 
 
+def greedy_fill(masks: Sequence[int], uncovered: int, pool: int) -> list[int]:
+    """Max-gain picks from `pool` (`best_gain`), in pick order, until
+    `uncovered` is covered or no test of `pool` covers any of the rest."""
+    picks: list[int] = []
+    while uncovered and (t := best_gain(masks, uncovered, pool)) >= 0:
+        picks.append(t)
+        uncovered &= ~masks[t]
+    return picks
+
+
 def undominated(sets: Sequence[int], pool: int) -> int:
     """`pool` without every member whose set lies inside another member's
     set; of members with equal sets only the lowest index stays.
@@ -257,12 +264,6 @@ def distinct_pair(i: int, j: int) -> tuple[int, int]:
     """Two distinct positions from a draw i below n and a draw j below n - 1:
     j is moved one step up when it reaches i, so it is uniform among the rest."""
     return i, j + (j >= i)
-
-
-def two_positions(rng: np.random.Generator, n: int) -> tuple[int, int]:
-    """Two distinct positions below n: i uniform, then j uniform among the rest."""
-    i = int(rng.integers(n))
-    return distinct_pair(i, int(rng.integers(n - 1)))
 
 
 class Reduction(NamedTuple):

@@ -128,15 +128,6 @@ def _positions(op: str, draws: Sequence[int]) -> tuple[int, int]:
     return (i, j) if op == "swap" else (min(i, j), max(i, j))
 
 
-def apply_operator(
-    op: str, p: Sequence[int], mate: Sequence[int], rng: np.random.Generator
-) -> tuple[int, ...]:
-    """One random application of the named operator: its position draws,
-    then `move`.  Always a valid permutation."""
-    draws = [int(rng.integers(high)) for high in _position_bounds(op, len(p))]
-    return move(op, p, mate, *_positions(op, draws))
-
-
 def select_operator(
     current: str,
     rule_base: RuleBase,
@@ -144,11 +135,10 @@ def select_operator(
     intensification: float,
     diversification: float,
     rng: np.random.Generator,
-    pool: Sequence[str] = OPERATORS,
 ) -> str:
     """Keep `current` iff the defuzzified decision is at least 0.5.
 
-    Below 0.5 a different operator is drawn uniformly from the pool.
+    Below 0.5 a different operator is drawn uniformly from the rest of `OPERATORS`.
     """
     crisp = infer(
         rule_base,
@@ -160,9 +150,7 @@ def select_operator(
     )
     if crisp >= 0.5:
         return current
-    others = [op for op in pool if op != current]
-    if not others:
-        return current
+    others = [op for op in OPERATORS if op != current]
     return others[int(rng.integers(len(others)))]
 
 

@@ -10,7 +10,7 @@ midpoint 0.5.  The JSON form of a rule base is read by tsred.io.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -61,16 +61,8 @@ class Trapezoid:
         return (self.d - x) / (self.d - self.c)
 
     def curve(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized membership over grid points already inside [0, 1]."""
-        mu = np.zeros_like(xs)
-        mu[(xs >= self.b) & (xs <= self.c)] = 1.0
-        if self.b > self.a:
-            rise = (xs >= self.a) & (xs < self.b)
-            mu[rise] = (xs[rise] - self.a) / (self.b - self.a)
-        if self.d > self.c:
-            fall = (xs > self.c) & (xs <= self.d)
-            mu[fall] = (self.d - xs[fall]) / (self.d - self.c)
-        return mu
+        """`membership` at each of the points `xs`."""
+        return np.array([self.membership(x) for x in xs.tolist()])
 
 
 @dataclass(frozen=True)
@@ -218,11 +210,12 @@ _DEFAULT_RULES = (
 )
 
 
+@lru_cache
 def default_rule_base(samples: int = 1001) -> RuleBase:
     """The built-in operator-selection rules over quality, intensification
     and diversification.  High quality or high diversity argues for keeping
     the current operator; poor quality with little diversity argues for a
-    change."""
+    change.  Cached per `samples`: every caller shares one read-only object."""
     return RuleBase(
         inputs={
             "quality": LinguisticVariable(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, ParameterError, best_gain, bits, essential_tests, undominated
+from .core import Instance, ParameterError, bits, essential_tests, greedy_fill, undominated
 
 MAX_TESTS = 64
 _INF = 1 << 30
@@ -129,7 +129,7 @@ def minimum_cover(instance: Instance) -> OracleResult:
     masks = instance.test_masks
     req_masks = instance.candidate_masks
     forced, uncovered, allowed = _reduce(instance, drop_tests=True)
-    best = _greedy_cover(masks, uncovered, allowed) | forced
+    best = set(greedy_fill(masks, uncovered, allowed)) | forced  # upper bound to beat
 
     def improve(chosen: set[int]) -> int:
         nonlocal best
@@ -164,16 +164,3 @@ def enumerate_minimum_covers(instance: Instance, cap: int = 1000) -> OracleResul
         covers=covers,
         complete=complete,
     )
-
-
-def _greedy_cover(masks, uncovered: int, allowed: int) -> set[int]:
-    """Quick upper bound: plain max-gain greedy restricted to allowed tests."""
-    chosen: set[int] = set()
-    while uncovered:
-        t = best_gain(masks, uncovered, allowed)
-        if t < 0:
-            # infeasible under this restriction; caller's bound handles it
-            break
-        chosen.add(t)
-        uncovered &= ~masks[t]
-    return chosen

@@ -80,6 +80,9 @@ def test_solve_rejects_unknown_algorithm(capsys):
         # about 7e8 cooling steps: refused before the first one
         ("solve", "--instance", EXP1, "--algorithm", "sa", "--t-initial", "1e308",
          "--alpha", "0.999999"),
+        # one run over bench.MAX_RUNS: refused before the first one
+        ("solve", "--instance", EXP1, "--runs", "10001"),
+        ("bench", "--runs", "10001"),
     ],
 )
 def test_out_of_range_setting_is_usage_error(capsys, argv):

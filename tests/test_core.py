@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import covers_naive, prefix_by_scan, random_instance
+from helpers import covers_naive, ge_naive, prefix_by_scan, random_instance
 from tsred import (
     InvalidInstanceError,
     decode,
@@ -15,6 +15,7 @@ from tsred import (
     reduction_percent,
     validate_instance,
 )
+from tsred.core import coverage, essential_tests, greedy_fill
 
 
 def test_instance_basics(tiny):
@@ -122,3 +123,35 @@ def test_decode_matches_naive_prefix_scan(seed):
     assert sol.prefix_len == prefix_by_scan(inst, perm)
     assert covers_naive(inst, sol.selected)
     assert is_cover(inst, sol.selected)
+
+
+def test_greedy_fill_stops_when_the_pool_covers_no_more():
+    masks = (0b0011, 0b0110, 0b1000)
+    # tests 0 and 1 tie on gain 2, the lower index wins; requirement 3 is
+    # only in test 2, which the pool leaves out
+    assert greedy_fill(masks, 0b1111, 0b011) == [0, 1]
+    assert greedy_fill(masks, 0b1111, 0b111) == [0, 1, 2]
+    assert greedy_fill(masks, 0b1000, 0b011) == []
+    assert greedy_fill(masks, 0, 0b111) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_greedy_fill_covers_what_the_pool_can(seed):
+    rng = random.Random(seed)
+    inst = random_instance(rng, max_tests=12, max_requirements=10)
+    pool = rng.getrandbits(inst.n)
+    picks = greedy_fill(inst.test_masks, inst.full_mask, pool)
+    members = [t for t in range(inst.n) if pool >> t & 1]
+    assert set(picks) <= set(members)
+    assert coverage(inst, picks) == coverage(inst, members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_essential_tests_then_greedy_fill_is_ge(seed):
+    inst = random_instance(random.Random(seed), max_tests=12, max_requirements=10)
+    everyone = (1 << inst.n) - 1
+    essential = essential_tests(inst.candidate_masks, inst.full_mask, everyone)
+    rest = inst.full_mask & ~coverage(inst, essential)
+    assert essential + greedy_fill(inst.test_masks, rest, everyone) == ge_naive(inst)

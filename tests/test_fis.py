@@ -18,7 +18,8 @@ from tsred import (
 from tsred.fis import (
     MAX_EVALUATIONS,
     LengthMismatchError,
-    apply_operator,
+    _position_bounds,
+    _positions,
     insert_at,
     move,
     order_crossover,
@@ -72,16 +73,14 @@ def test_order_crossover_identity_mate_keeps_permutation():
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.sampled_from(OPERATORS),
-    st.integers(2, 12),
-    st.integers(0, 2**32 - 1),
-)
-def test_apply_operator_preserves_permutation(op, n, seed):
+@given(st.sampled_from(OPERATORS), st.integers(2, 12), st.integers(0, 2**32 - 1), st.data())
+def test_move_preserves_permutation(op, n, seed, data):
+    # the chain run_fis takes: draws below _position_bounds, _positions, move
     rng = np.random.default_rng(seed)
     p = tuple(int(v) for v in rng.permutation(n))
     mate = tuple(int(v) for v in rng.permutation(n))
-    out = apply_operator(op, p, mate, rng)
+    draws = [data.draw(st.integers(0, high - 1)) for high in _position_bounds(op, n)]
+    out = move(op, p, mate, *_positions(op, draws))
     assert sorted(out) == list(range(n))
 
 
@@ -99,14 +98,15 @@ def test_move_keeps_every_position_before_the_lowest_touched(op, data):
     assert out[: min(i, j)] == p[: min(i, j)]
 
 
-def test_apply_operator_single_element_is_noop():
-    rng = np.random.default_rng(0)
-    assert apply_operator("swap", (0,), (0,), rng) == (0,)
+def test_move_single_element_is_noop():
+    for op in OPERATORS:
+        assert _position_bounds(op, 1) == ()
+        assert move(op, (0,), (0,), *_positions(op, ())) == (0,)
 
 
-def test_apply_operator_unknown_name():
+def test_move_unknown_name():
     with pytest.raises(ValueError):
-        apply_operator("shuffle", (0, 1), (0, 1), np.random.default_rng(0))
+        move("shuffle", (0, 1), (0, 1), *_positions("shuffle", (1, 0)))
 
 
 def _constant_rule_base(decision: str) -> RuleBase:
@@ -138,12 +138,6 @@ def test_select_operator_switches_on_change():
         assert out in OPERATORS
         seen.add(out)
     assert seen == {"insertion", "reversal", "crossover"}
-
-
-def test_select_operator_single_pool_never_switches():
-    rng = np.random.default_rng(0)
-    rb = _constant_rule_base("Change")
-    assert select_operator("swap", rb, 0.5, 0.5, 0.5, rng, pool=("swap",)) == "swap"
 
 
 def test_config_validation():

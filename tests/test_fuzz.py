@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tsred import ALGORITHMS, write_instance
+from tsred.bench import MAX_RUNS
 from tsred.cli import main
 from tsred.corpus import builtin_document
 from tsred.fis import MAX_EVALUATIONS
@@ -122,7 +123,7 @@ NAN = st.just(float("nan"))
 # Per numeric solve flag: values in range, then values that must be refused.
 # Every run the flags allow stays small: a FIS budget of at most 4 x 4, or
 # one over MAX_EVALUATIONS; alpha at most 0.5, which cools from any finite
-# t_initial in about 10^3 steps or fewer; at most 3 runs.
+# t_initial in about 10^3 steps or fewer; at most 3 runs, or a count over MAX_RUNS.
 SOLVE_FLAGS = {
     "--population": (
         st.integers(2, 4),
@@ -141,7 +142,10 @@ SOLVE_FLAGS = {
         flag(st.floats(max_value=0) | st.just(float("inf")) | NAN),
     ),
     "--seed": (st.integers(min_value=0), flag(st.integers(max_value=-1))),
-    "--runs": (st.integers(1, 3), flag(st.integers(max_value=0))),
+    "--runs": (
+        st.integers(1, 3),
+        flag(st.integers(max_value=0) | st.integers(min_value=MAX_RUNS + 1)),
+    ),
 }
 
 
