@@ -18,30 +18,15 @@ from .oracle import minimum_cover
 MAX_RUNS = 10_000  # most runs one report or sweep may ask for per (instance, algorithm)
 
 
-def _check_runs(runs: int) -> None:
+def check_runs(seed: int, runs: int) -> None:
+    """Refuse a negative seed or a run count outside [1, MAX_RUNS]."""
+    if seed < 0:
+        raise ParameterError("seed must not be negative")
     if not 1 <= runs <= MAX_RUNS:
         raise ParameterError(f"runs must lie in [1, {MAX_RUNS}]")
 
 
-def _fis(instance: Instance, seed: int, fis_config: FISConfig, sa_params: SAParams):
-    return run_fis(instance, replace(fis_config, seed=seed)).solution.selected
-
-
-def _sa(instance: Instance, seed: int, fis_config: FISConfig, sa_params: SAParams):
-    return simulated_annealing(instance, replace(sa_params, seed=seed)).solution.selected
-
-
-# Algorithm name -> solver(instance, seed, fis_config, sa_params) returning
-# selected test indices.  Reducers are looked up as module globals at call
-# time, so replacing one here (to trace or observe it) takes effect.
-SOLVERS = {
-    "fis": _fis,
-    "sa": _sa,
-    "ge": lambda instance, seed, fis_config, sa_params: greedy_ge(instance),
-    "gre": lambda instance, seed, fis_config, sa_params: greedy_gre(instance),
-    "hgs": lambda instance, seed, fis_config, sa_params: hgs(instance),
-}
-ALGORITHMS = tuple(SOLVERS)
+ALGORITHMS = ("fis", "sa", "ge", "gre", "hgs")
 
 
 def run_algorithm(
@@ -55,14 +40,22 @@ def run_algorithm(
     """One run of a reducer; returns selected test ids in selection order.
 
     FIS runs with `fis_config` and SA with `sa_params` (their defaults when
-    None); the run's `seed` replaces the config's own.  Every result is
-    re-checked with is_cover before it is handed back, so a broken reducer
-    fails loudly instead of producing a bogus report.
+    None); the run's `seed` replaces the config's own.  Reducers are looked
+    up as module globals at call time, so replacing one here (to trace or
+    observe it) takes effect.  Every result is re-checked with is_cover
+    before it is handed back, so a broken reducer fails loudly instead of
+    producing a bogus report.
     """
-    if algorithm not in SOLVERS:
+    if algorithm == "fis":
+        config = replace(fis_config or FISConfig(), seed=seed)
+        selected = run_fis(instance, config).solution.selected
+    elif algorithm == "sa":
+        params = replace(sa_params or SAParams(), seed=seed)
+        selected = simulated_annealing(instance, params).solution.selected
+    elif algorithm in ALGORITHMS:
+        selected = {"ge": greedy_ge, "gre": greedy_gre, "hgs": hgs}[algorithm](instance)
+    else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    solver = SOLVERS[algorithm]
-    selected = solver(instance, seed, fis_config or FISConfig(), sa_params or SAParams())
     if not is_cover(instance, selected):
         raise AssertionError(f"{algorithm} returned a non-covering selection")
     return instance.ids(selected)
@@ -80,7 +73,7 @@ def solve_report(
 ) -> RunReport:
     """Repeated runs as a verifiable report.  Run k of K uses seed + k
     (0-based), so a K-run report at seed s covers seeds s .. s+K-1."""
-    _check_runs(runs)
+    check_runs(seed, runs)
     results = []
     for k in range(runs):
         t0 = clock()
@@ -128,7 +121,7 @@ def bench_suite(
 ) -> BenchSummary:
     """Full sweep: every algorithm on every bundled instance, plus the exact
     minimum for reference."""
-    _check_runs(runs)
+    check_runs(seed, runs)
     names = builtin_names()
     fis_config = FISConfig(rule_base=rule_base)
     cells = []

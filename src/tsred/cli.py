@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .baselines import SAParams
-from .bench import ALGORITHMS, bench_suite, render_tables, solve_report, summary_json
+from .bench import ALGORITHMS, bench_suite, check_runs, render_tables, solve_report, summary_json
 from .core import Instance, InvalidInstanceError, ParameterError, is_cover, reduction_percent
 from .corpus import UnknownBenchmarkError, builtin_names, builtin_document
 from .fis import FISConfig
@@ -92,6 +92,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         rule_base=_rule_base_from_env(),
     )
     sa_params = SAParams(alpha=args.alpha, t_initial=args.t_initial)
+    check_runs(args.seed, args.runs)
     _check_output(args.output)
     report = solve_report(
         instance,
@@ -146,6 +147,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     rule_base = _rule_base_from_env()
+    check_runs(args.seed, args.runs)
     _check_output(args.output)
     summary = bench_suite(runs=args.runs, seed=args.seed, rule_base=rule_base)
     sys.stdout.write(render_tables(summary))

@@ -13,8 +13,9 @@ fuzzy controller's rule base.
 One strict reader parses all three: UTF-8 JSON in which every field has its
 JSON type (a boolean is not a number), else a ParseError naming the field.
 Semantic checks live in core.validate_instance and the fuzzy dataclasses.
-write_report re-checks every selected set with is_cover, so an invalid set
-never reaches disk through this path.
+parse_report and write_report judge reports by one rulebook; write_report
+also re-checks every selected set with is_cover, so an invalid set never
+reaches disk through this path.
 """
 
 from __future__ import annotations
@@ -169,25 +170,29 @@ class RunReport:
         return reduction_percent(self.total_tests, self.best_size)
 
 
-def _report_problems(report: RunReport, instance: Instance) -> list[str]:
+def _report_problems(report: RunReport, instance: Instance | None = None) -> list[str]:
+    """Every rule `report` breaks: on its own terms, and against `instance` when given."""
     problems = []
-    if report.instance != instance.name:
+    if instance is not None and report.instance != instance.name:
         problems.append(f"report names instance {report.instance!r}, got {instance.name!r}")
-    if report.total_tests != instance.n:
+    if instance is not None and report.total_tests != instance.n:
         problems.append(f"total_tests {report.total_tests} != {instance.n}")
     if not report.runs:
         problems.append("report has no runs")
     for i, run in enumerate(report.runs):
+        if run.size != len(run.selected):
+            problems.append(f"runs[{i}]: size {run.size} != {len(run.selected)} selected")
+        if instance is None:
+            continue
         unknown = [t for t in run.selected if t not in instance.index_of]
         if unknown:
             problems.append(f"runs[{i}]: unknown tests {unknown}")
-            continue
-        if run.size != len(run.selected):
-            problems.append(f"runs[{i}]: size {run.size} != {len(run.selected)} selected")
-        if not is_cover(instance, (instance.index_of[t] for t in run.selected)):
+        elif not is_cover(instance, (instance.index_of[t] for t in run.selected)):
             problems.append(f"runs[{i}]: selection is not a cover")
     if report.runs and report.best_size != min(r.size for r in report.runs):
         problems.append("best_size is not the minimum over runs")
+    if report.total_tests < 1 or not 0 <= report.best_size <= report.total_tests:
+        problems.append(f"best_size {report.best_size} out of range for {report.total_tests} tests")
     return problems
 
 
@@ -232,10 +237,11 @@ def parse_report(data: str | bytes) -> RunReport:
         best_size=_field(raw, "best_size", int),
     )
     stated = _field(raw, "reduction_percent", str)
-    if stated != report.reduction.text:
-        raise InvalidReportError(
-            f"reduction_percent {stated!r} does not match best_size {report.best_size}"
-        )
+    problems = _report_problems(report)
+    if not problems and stated != report.reduction.text:
+        problems.append(f"reduction_percent {stated!r} does not match best_size {report.best_size}")
+    if problems:
+        raise InvalidReportError("; ".join(problems))
     return report
 
 

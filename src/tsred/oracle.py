@@ -27,11 +27,6 @@ class OracleResult:
     complete: bool = True  # False if enumeration stopped at the cap
 
 
-def _check_size(instance: Instance) -> None:
-    if instance.n > MAX_TESTS:
-        raise TooLargeError(f"{instance.n} tests exceeds the oracle limit of {MAX_TESTS}")
-
-
 def _lower_bound(req_masks: tuple[int, ...], uncovered: int, allowed: int) -> int:
     """Greedy family of uncovered requirements with pairwise disjoint
     candidate sets; its size is an admissible bound since each needs its
@@ -125,7 +120,8 @@ def _search(
 
 def minimum_cover(instance: Instance) -> OracleResult:
     """Size and one witness of a minimum cover."""
-    _check_size(instance)
+    if instance.n > MAX_TESTS:
+        raise TooLargeError(f"{instance.n} tests exceeds the oracle limit of {MAX_TESTS}")
     masks = instance.test_masks
     req_masks = instance.candidate_masks
     forced, uncovered, allowed = _reduce(instance, drop_tests=True)
@@ -144,7 +140,6 @@ def enumerate_minimum_covers(instance: Instance, cap: int = 1000) -> OracleResul
     """All minimum covers, lexicographically sorted, up to `cap` of them."""
     if cap < 1:
         raise ParameterError("cap must be positive")
-    _check_size(instance)
     k = minimum_cover(instance).minimum_size
     masks = instance.test_masks
     req_masks = instance.candidate_masks

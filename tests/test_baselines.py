@@ -19,6 +19,7 @@ from tsred import (
     solve_report,
     validate_instance,
 )
+from tsred import bench
 
 
 def ids(instance, selection):
@@ -195,3 +196,25 @@ def test_solve_report_runs_given_configs_at_run_seeds():
         want_sa = simulated_annealing(inst, SAParams(alpha=0.9, t_initial=50.0, seed=7 + k))
         assert fis.runs[k].selected == ids(inst, want_fis.solution.selected)
         assert sa.runs[k].selected == ids(inst, want_sa.solution.selected)
+
+
+def test_run_algorithm_looks_reducers_up_at_call_time(monkeypatch):
+    # a tracer or observer replaces a reducer where bench looks it up
+    calls = []
+
+    def recording(name, reducer):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return reducer(*args, **kwargs)
+
+        return wrapper
+
+    reducers = {"fis": "run_fis", "sa": "simulated_annealing", "ge": "greedy_ge",
+                "gre": "greedy_gre", "hgs": "hgs"}
+    for name in reducers.values():
+        monkeypatch.setattr(bench, name, recording(name, getattr(bench, name)))
+    inst = builtin("experiment-1")
+    for algorithm in bench.ALGORITHMS:
+        selected = bench.run_algorithm(inst, algorithm, 7)
+        assert is_cover(inst, (inst.index_of[t] for t in selected))
+    assert calls == [reducers[a] for a in bench.ALGORITHMS]

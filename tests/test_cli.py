@@ -66,30 +66,41 @@ def test_solve_rejects_unknown_algorithm(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("solve", "--instance", EXP1, "--runs", "0"),
-        ("solve", "--instance", EXP1, "--population", "1"),
-        ("solve", "--instance", EXP1, "--algorithm", "sa", "--alpha", "1.5"),
-        ("oracle", "--instance", EXP1, "--enumerate", "--cap", "0"),
-        ("bench", "--runs", "0"),
-        ("solve", "--instance", EXP1, "--algorithm", "fis", "--seed", "-1"),
-        ("solve", "--instance", EXP1, "--algorithm", "sa", "--seed", "-1"),
-        ("bench", "--seed", "-1"),
-        # about 7e8 cooling steps: refused before the first one
-        ("solve", "--instance", EXP1, "--algorithm", "sa", "--t-initial", "1e308",
-         "--alpha", "0.999999"),
-        # one run over bench.MAX_RUNS: refused before the first one
-        ("solve", "--instance", EXP1, "--runs", "10001"),
-        ("bench", "--runs", "10001"),
-    ],
-)
+OUT_OF_RANGE = [
+    ("solve", "--instance", EXP1, "--runs", "0"),
+    ("solve", "--instance", EXP1, "--population", "1"),
+    ("solve", "--instance", EXP1, "--algorithm", "sa", "--alpha", "1.5"),
+    ("oracle", "--instance", EXP1, "--enumerate", "--cap", "0"),
+    ("bench", "--runs", "0"),
+    ("solve", "--instance", EXP1, "--algorithm", "fis", "--seed", "-1"),
+    ("solve", "--instance", EXP1, "--algorithm", "sa", "--seed", "-1"),
+    ("bench", "--seed", "-1"),
+    # about 7e8 cooling steps: refused before the first one
+    ("solve", "--instance", EXP1, "--algorithm", "sa", "--t-initial", "1e308",
+     "--alpha", "0.999999"),
+    # one run over bench.MAX_RUNS: refused before the first one
+    ("solve", "--instance", EXP1, "--runs", "10001"),
+    ("bench", "--runs", "10001"),
+    # a greedy reducer draws nothing, yet a negative seed is still a usage error
+    ("solve", "--instance", EXP1, "--algorithm", "ge", "--seed", "-1"),
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE)
 def test_out_of_range_setting_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [a for a in OUT_OF_RANGE if a[0] != "oracle"])
+def test_refused_setting_leaves_no_output_file(capsys, tmp_path, argv):
+    target = tmp_path / "out.json"
+    code, out, _ = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert not target.exists()
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -198,11 +198,21 @@ def test_write_report_rejects_name_mismatch():
         write_report(bad, inst)
 
 
-def test_parse_report_rejects_inconsistent_reduction():
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda p: p.update(reduction_percent="99.9"),
+        lambda p: p["runs"][1].update(size=4),
+        lambda p: p.update(best_size=4, reduction_percent="42.9"),  # not the minimum
+        lambda p: p.update(runs=[]),
+        lambda p: p.update(total_tests=2),  # below best_size
+    ],
+    ids=["reduction", "run-size", "best-size", "no-runs", "total-tests"],
+)
+def test_parse_report_rejects_inconsistent_reduction(mutate):
     inst = builtin("experiment-1")
-    text = write_report(_report(inst), inst)
-    payload = json.loads(text)
-    payload["reduction_percent"] = "99.9"
+    payload = json.loads(write_report(_report(inst), inst))
+    mutate(payload)
     with pytest.raises(InvalidReportError):
         parse_report(json.dumps(payload))
 
