@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .baselines import SAParams, greedy_ge, greedy_gre, hgs, simulated_annealing
-from .core import Instance, ParameterError, is_cover, reduction_percent
+from .core import ALGORITHMS, Instance, ParameterError, is_cover, reduction_percent
 from .corpus import builtin, builtin_names
 from .fis import FISConfig, run_fis
 from .fuzzy import RuleBase
@@ -24,9 +24,6 @@ def check_runs(seed: int, runs: int) -> None:
         raise ParameterError("seed must not be negative")
     if not 1 <= runs <= MAX_RUNS:
         raise ParameterError(f"runs must lie in [1, {MAX_RUNS}]")
-
-
-ALGORITHMS = ("fis", "sa", "ge", "gre", "hgs")
 
 
 def run_algorithm(

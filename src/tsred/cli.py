@@ -120,6 +120,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     print(f"minimum size: {result.minimum_size}")
     print(f"reduction: {reduction.text}%")
     print(f"witness: {', '.join(instance.ids(sorted(result.witness)))}")
+    print(f"nodes: {result.nodes}")
     if result.covers is not None:
         suffix = "" if result.complete else f" (stopped at cap {args.cap})"
         print(f"minimum covers: {len(result.covers)}{suffix}")

@@ -18,6 +18,11 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 
+# The reducers by name, in table order: bench dispatches on these names and
+# a run report naming any other is refused.
+ALGORITHMS = ("fis", "sa", "ge", "gre", "hgs")
+
+
 @dataclass(frozen=True)
 class Violation:
     """One failed instance check.

@@ -21,10 +21,11 @@ reaches disk through this path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
-from .core import Instance, Reduction, is_cover, reduction_percent, validate_instance
+from .core import ALGORITHMS, Instance, Reduction, is_cover, reduction_percent, validate_instance
 from .fuzzy import LinguisticVariable, Rule, RuleBase, Trapezoid
 
 
@@ -177,11 +178,17 @@ def _report_problems(report: RunReport, instance: Instance | None = None) -> lis
         problems.append(f"report names instance {report.instance!r}, got {instance.name!r}")
     if instance is not None and report.total_tests != instance.n:
         problems.append(f"total_tests {report.total_tests} != {instance.n}")
+    if report.algorithm not in ALGORITHMS:
+        problems.append(f"unknown algorithm {report.algorithm!r}")
+    if report.seed < 0:
+        problems.append(f"seed {report.seed} is negative")
     if not report.runs:
         problems.append("report has no runs")
     for i, run in enumerate(report.runs):
         if run.size != len(run.selected):
             problems.append(f"runs[{i}]: size {run.size} != {len(run.selected)} selected")
+        if not 0 <= run.millis < math.inf:  # NaN fails this too
+            problems.append(f"runs[{i}]: millis {run.millis} is not a finite duration")
         if instance is None:
             continue
         unknown = [t for t in run.selected if t not in instance.index_of]

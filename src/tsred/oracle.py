@@ -3,6 +3,15 @@
 Branch and bound over bitsets.  Intended for the bundled benchmark sizes
 (a few dozen tests); anything beyond 64 tests is rejected outright rather
 than silently taking forever.
+
+The search branches on requirements in their own numbering, but prunes with
+a packing bound taken over the requirements in ascending order of candidate
+count: requirements with few candidates rarely share one, so the greedy
+family of pairwise disjoint ones grows larger and the bound tighter.  An
+admissible bound only cuts subtrees that hold no cover within the current
+limit, and the limit changes only at such covers, so a stronger bound
+changes neither which covers the search reaches nor their order: minima,
+witnesses and enumerations are those of any other admissible bound.
 """
 
 from __future__ import annotations
@@ -25,13 +34,38 @@ class OracleResult:
     witness: frozenset[int]
     covers: tuple[frozenset[int], ...] | None = None
     complete: bool = True  # False if enumeration stopped at the cap
+    nodes: int = 0  # branch-and-bound nodes visited; for enumeration, its own search only
+
+
+# per-test requirement masks and per-requirement candidate masks in the bound's
+# numbering, and each requirement's number in it
+_Space = tuple[list[int], tuple[int, ...], list[int]]
+
+
+def _bound_space(instance: Instance) -> _Space:
+    """The requirements renumbered by ascending candidate count, ties by
+    index.  Returns each test's requirement mask and each requirement's
+    candidate mask in the new numbering, and the new number of each
+    requirement."""
+    reqs = instance.requirements
+    # a stable sort, so ties keep index order
+    order = sorted(range(instance.m), key=lambda i: len(reqs[i].candidates))
+    masks = [0] * instance.n
+    rank = [0] * instance.m
+    for r, i in enumerate(order):
+        rank[i] = r
+        for t in reqs[i].candidates:
+            masks[t] |= 1 << r
+    return masks, tuple(instance.candidate_masks[i] for i in order), rank
 
 
 def _lower_bound(req_masks: tuple[int, ...], uncovered: int, allowed: int) -> int:
     """Greedy family of uncovered requirements with pairwise disjoint
-    candidate sets; its size is an admissible bound since each needs its
-    own test.  Returns a huge value when some requirement has no candidate
-    left at all."""
+    candidate sets, taken in the order of `req_masks`; its size is an
+    admissible bound since each needs its own test.  The search passes the
+    requirements of `_bound_space`, in ascending candidate count, which
+    usually makes the family larger than index order does.  Returns a huge
+    value when some requirement has no candidate left at all."""
     bound = 0
     used = 0
     rest = uncovered
@@ -91,40 +125,58 @@ def _reduce(instance: Instance, drop_tests: bool) -> tuple[set[int], int, int]:
 
 
 def _search(
-    masks, req_masks, uncovered: int, chosen: set[int], allowed: int, limit: int, leaf
-) -> int:
-    """Branch and bound over covers of at most `limit` tests.
+    masks, req_masks, space: _Space | None, uncovered: int, chosen: set[int], allowed: int,
+    limit: int, leaf,
+) -> tuple[int, int]:
+    """Branch and bound over covers of at most `limit` tests that extend
+    `chosen`.  `space` is `_bound_space` of the instance; it is read only
+    when something is uncovered, so it may be None otherwise.
 
     `leaf(chosen)` is called on each such cover and returns the new limit;
-    a negative limit ends the search.  Returns the limit in force on exit.
+    a negative limit ends the search.  Returns the limit in force on exit
+    and the number of nodes visited.
     """
-    if not uncovered:
-        # a sibling may have tightened the limit since this branch began
-        return leaf(chosen) if len(chosen) <= limit else limit
-    if len(chosen) + _lower_bound(req_masks, uncovered, allowed) > limit:
+    nodes = 0
+
+    def visit(uncovered: int, uncovered_b: int, allowed: int, limit: int) -> int:
+        # uncovered_b: the same requirements in the numbering of the bound
+        nonlocal nodes
+        nodes += 1
+        if not uncovered:
+            # a sibling may have tightened the limit since this branch began
+            return leaf(chosen) if len(chosen) <= limit else limit
+        if len(chosen) + _lower_bound(req_b, uncovered_b, allowed) > limit:
+            return limit
+        i = _branch_requirement(req_masks, uncovered, allowed)
+        cands = req_masks[i] & allowed
+        banned = 0
+        while cands:
+            t = (cands & -cands).bit_length() - 1
+            cands &= cands - 1
+            chosen.add(t)
+            limit = visit(
+                uncovered & ~masks[t], uncovered_b & ~masks_b[t], allowed & ~banned, limit
+            )
+            chosen.remove(t)
+            banned |= 1 << t  # later branches must cover i without t
         return limit
-    i = _branch_requirement(req_masks, uncovered, allowed)
-    cands = req_masks[i] & allowed
-    banned = 0
-    while cands:
-        t = (cands & -cands).bit_length() - 1
-        cands &= cands - 1
-        chosen.add(t)
-        limit = _search(
-            masks, req_masks, uncovered & ~masks[t], chosen, allowed & ~banned, limit, leaf
-        )
-        chosen.remove(t)
-        banned |= 1 << t  # later branches must cover i without t
-    return limit
+
+    uncovered_b = 0
+    if uncovered:
+        masks_b, req_b, rank = space
+        for i in bits(uncovered):
+            uncovered_b |= 1 << rank[i]
+    return visit(uncovered, uncovered_b, allowed, limit), nodes
 
 
-def minimum_cover(instance: Instance) -> OracleResult:
-    """Size and one witness of a minimum cover."""
+def _solve(instance: Instance) -> tuple[OracleResult, _Space | None]:
+    """`minimum_cover`, and the `_bound_space` it built (None if it needed
+    none) for enumeration to reuse."""
     if instance.n > MAX_TESTS:
         raise TooLargeError(f"{instance.n} tests exceeds the oracle limit of {MAX_TESTS}")
     masks = instance.test_masks
-    req_masks = instance.candidate_masks
     forced, uncovered, allowed = _reduce(instance, drop_tests=True)
+    space = _bound_space(instance) if uncovered else None
     best = set(greedy_fill(masks, uncovered, allowed)) | forced  # upper bound to beat
 
     def improve(chosen: set[int]) -> int:
@@ -132,18 +184,26 @@ def minimum_cover(instance: Instance) -> OracleResult:
         best = set(chosen)
         return len(best) - 1
 
-    _search(masks, req_masks, uncovered, forced, allowed, len(best) - 1, improve)
-    return OracleResult(minimum_size=len(best), witness=frozenset(best))
+    _, nodes = _search(
+        masks, instance.candidate_masks, space, uncovered, forced, allowed, len(best) - 1, improve
+    )
+    return OracleResult(minimum_size=len(best), witness=frozenset(best), nodes=nodes), space
+
+
+def minimum_cover(instance: Instance) -> OracleResult:
+    """Size and one witness of a minimum cover."""
+    return _solve(instance)[0]
 
 
 def enumerate_minimum_covers(instance: Instance, cap: int = 1000) -> OracleResult:
     """All minimum covers, lexicographically sorted, up to `cap` of them."""
     if cap < 1:
         raise ParameterError("cap must be positive")
-    k = minimum_cover(instance).minimum_size
-    masks = instance.test_masks
-    req_masks = instance.candidate_masks
+    best, space = _solve(instance)
+    k = best.minimum_size
     forced, uncovered, allowed = _reduce(instance, drop_tests=False)
+    if uncovered and space is None:
+        space = _bound_space(instance)
     found: list[tuple[int, ...]] = []
 
     def record(chosen: set[int]) -> int:
@@ -151,11 +211,14 @@ def enumerate_minimum_covers(instance: Instance, cap: int = 1000) -> OracleResul
         found.append(tuple(sorted(chosen)))
         return -1 if len(found) >= cap else k
 
-    complete = _search(masks, req_masks, uncovered, forced, allowed, k, record) >= 0
+    limit, nodes = _search(
+        instance.test_masks, instance.candidate_masks, space, uncovered, forced, allowed, k, record
+    )
     covers = tuple(frozenset(c) for c in sorted(found))
     return OracleResult(
         minimum_size=k,
         witness=covers[0] if covers else frozenset(),
         covers=covers,
-        complete=complete,
+        complete=limit >= 0,
+        nodes=nodes,
     )

@@ -226,12 +226,14 @@ def test_oracle_reports_minimum(capsys):
     assert code == 0
     assert "minimum size: 3" in out
     assert "reduction: 57.1%" in out
+    assert "witness: t2, t4, t7\nnodes: 1\n" in out
 
 
 def test_oracle_enumerate_lists_covers(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--instance", EXP1, "--enumerate")
     assert code == 0
     assert "minimum covers: 2" in out
+    assert "\nnodes: 11\n" in out  # the enumeration's own search
     assert "t1, t2, t4" in out
     assert "t2, t4, t7" in out
 

@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +14,7 @@ from tsred import (
     parse_instance,
     parse_report,
     rule_base_from_json,
+    solve_report,
     write_instance,
     write_report,
 )
@@ -215,6 +218,31 @@ def test_parse_report_rejects_inconsistent_reduction(mutate):
     mutate(payload)
     with pytest.raises(InvalidReportError):
         parse_report(json.dumps(payload))
+
+
+def _first_run_millis(report, millis):
+    return replace(report, runs=(replace(report.runs[0], millis=millis), *report.runs[1:]))
+
+
+@pytest.mark.parametrize(
+    "edit_document, edit_report",
+    [
+        (lambda p: p.update(seed=-5), lambda r: replace(r, seed=-5)),
+        (lambda p: p.update(algorithm="magic"), lambda r: replace(r, algorithm="magic")),
+        (lambda p: p["runs"][0].update(millis=-3.0), lambda r: _first_run_millis(r, -3.0)),
+        (lambda p: p["runs"][0].update(millis=math.inf), lambda r: _first_run_millis(r, math.inf)),
+    ],
+    ids=["seed", "algorithm", "millis", "millis-infinite"],
+)
+def test_report_rejects_field_no_solver_writes(edit_document, edit_report):
+    inst = builtin("experiment-1")
+    report = solve_report(inst, "ge")
+    payload = json.loads(write_report(report, inst))
+    edit_document(payload)
+    with pytest.raises(InvalidReportError):
+        parse_report(json.dumps(payload))
+    with pytest.raises(InvalidReportError):
+        write_report(edit_report(report), inst)
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from tsred import (
     minimum_cover,
     validate_instance,
 )
-from tsred.oracle import MAX_TESTS, TooLargeError
+from tsred.oracle import MAX_TESTS, TooLargeError, _bound_space, _lower_bound, _reduce
 
 # frozen exact minima for the two larger benchmarks
 EXP4_MINIMUM = 11
@@ -25,6 +25,30 @@ EXP5_MINIMUM = 9
 EXP5_DISJOINT_CERTIFICATE = (
     "req_4", "req_10", "req_13", "req_14", "req_15", "req_16", "req_19", "req_20", "req_22",
 )
+
+# minimum_cover witnesses, recorded when the packing bound was still taken in
+# requirement-index order; a stronger admissible bound must not change them
+BUNDLED_WITNESSES = {
+    "experiment-1": ("t2", "t4", "t7"),
+    "experiment-2": ("t1", "t2", "t4"),
+    "experiment-3": ("t4", "t5", "t10"),
+    "experiment-4": ("t3", "t4", "t5", "t6", "t9", "t12", "t17", "t23", "t25", "t28", "t30"),
+    "experiment-5": ("t0", "t6", "t8", "t9", "t10", "t20", "t24", "t29", "t30"),
+}
+
+
+def test_bundled_witnesses_are_frozen():
+    for name, witness in BUNDLED_WITNESSES.items():
+        inst = builtin(name)
+        assert inst.ids(sorted(minimum_cover(inst).witness)) == witness, name
+
+
+def test_node_counts_repeat_exactly():
+    inst = builtin("experiment-4")
+    first = minimum_cover(inst), enumerate_minimum_covers(inst)
+    again = minimum_cover(inst), enumerate_minimum_covers(inst)
+    assert [r.nodes for r in first] == [r.nodes for r in again]
+    assert all(r.nodes >= 1 for r in first)
 
 
 def test_small_benchmarks_minimum_is_three():
@@ -148,6 +172,23 @@ def test_enumeration_matches_brute_force(seed):
     res = enumerate_minimum_covers(inst, cap=100000)
     assert res.complete
     assert set(res.covers) == set(brute_minimum_covers(inst))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_root_bound_never_exceeds_minimum(seed):
+    inst = random_instance(random.Random(seed), max_tests=12, max_requirements=10)
+    k = brute_minimum(inst)
+    _, req_b, rank = _bound_space(inst)
+
+    def renumbered(mask: int) -> int:
+        return sum(1 << rank[i] for i in range(inst.m) if mask >> i & 1)
+
+    assert _lower_bound(req_b, renumbered(inst.full_mask), (1 << inst.n) - 1) <= k
+    # the roots the two searches start from, after preprocessing
+    for drop_tests in (True, False):
+        forced, uncovered, allowed = _reduce(inst, drop_tests)
+        assert len(forced) + _lower_bound(req_b, renumbered(uncovered), allowed) <= k
 
 
 def sparse_instance(seed: int):
