@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -103,6 +104,7 @@ def hgs(instance: Instance) -> list[int]:
 
 STOP_FLOOR = 0.001
 MAX_STEPS = 1_000_000  # most temperature steps one annealing run may take
+BLOCK = 256  # swap-position pairs drawn per rng.integers call
 
 
 @dataclass
@@ -132,6 +134,14 @@ class SAResult:
     history: tuple[int, ...]  # best objective after each temperature step
 
 
+def _swap_positions(rng: np.random.Generator, n: int) -> Iterator[tuple[int, int]]:
+    """Endless distinct position pairs below n (n >= 2), drawn BLOCK pairs
+    at a time, so memory stays O(BLOCK) whatever the schedule's length."""
+    while True:
+        for i, j in rng.integers((n, n - 1), size=(BLOCK, 2)).tolist():
+            yield distinct_pair(i, j)
+
+
 def simulated_annealing(instance: Instance, params: SAParams | None = None) -> SAResult:
     """Swap-neighborhood annealing on permutations with geometric cooling.
 
@@ -139,6 +149,10 @@ def simulated_annealing(instance: Instance, params: SAParams | None = None) -> S
     ones with probability exp(-delta/T).  Cooling stops once T falls to
     max(t_final, 0.001), which for the default schedule is roughly 1.5e3
     steps.  The best permutation ever seen is decoded and returned.
+
+    The swap positions come from `_swap_positions`, BLOCK pairs per draw;
+    the acceptance draw `rng.random()` is taken one step at a time, only for
+    worsening moves, so it falls between the blocks in the random stream.
     """
     p = params or SAParams()
     rng = np.random.default_rng(p.seed)
@@ -149,9 +163,10 @@ def simulated_annealing(instance: Instance, params: SAParams | None = None) -> S
     stop = max(p.t_final, STOP_FLOOR)
     temperature = p.t_initial
     history: list[int] = []
+    positions = _swap_positions(rng, n)  # draws nothing until first asked
     while temperature > stop:
         if n >= 2:
-            i, j = distinct_pair(int(rng.integers(n)), int(rng.integers(n - 1)))
+            i, j = next(positions)
             candidate = swap_at(current, i, j)
             # a swap wholly past the covering prefix leaves the objective alone
             cand_obj = current_obj if min(i, j) >= current_obj else objective(instance, candidate)

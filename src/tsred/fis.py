@@ -192,6 +192,7 @@ def run_fis(instance: Instance, config: FISConfig | None = None) -> FISResult:
 
     population = [tuple(int(v) for v in rng.permutation(n)) for _ in range(size)]
     objectives = [objective(instance, p) for p in population]
+    rows = np.array(population)  # the population as an int array, for diversification
     best_idx = min(range(len(population)), key=objectives.__getitem__)
     best_perm, best_obj = population[best_idx], objectives[best_idx]
     current_op = OPERATORS[int(rng.integers(len(OPERATORS)))]
@@ -225,10 +226,14 @@ def run_fis(instance: Instance, config: FISConfig | None = None) -> FISResult:
                 iter_perm, iter_obj = candidate, cand_obj
             if cand_obj < own:
                 population[k], objectives[k] = candidate, cand_obj
+                rows[k] = candidate
 
         quality = measure_quality(previous_best, iter_obj, n)
         intensification = measure_intensification(iter_perm, best_perm)
-        diversification = measure_diversification(iter_perm, population)
+        # measure_diversification(iter_perm, population), the same float:
+        # the same distances, summed in the same order
+        distances = (rows != iter_perm).sum(axis=1).tolist()
+        diversification = sum([d / n for d in distances]) / size
         if iter_obj < best_obj:
             best_perm, best_obj = iter_perm, iter_obj
         history.append(best_obj)

@@ -20,6 +20,8 @@ from .core import ParameterError
 # Largest centroid grid a rule base may ask for; every inference step
 # aggregates over the whole grid, so it bounds both memory and time.
 MAX_SAMPLES = 100_001
+# Most consequent-level tuples one rule base remembers the crisp output of.
+MEMO_SIZE = 4096
 
 
 class FuzzyDomainError(ValueError):
@@ -134,16 +136,32 @@ class RuleBase:
     def _output_curves(self) -> dict[str, np.ndarray]:
         return {name: trap.curve(self.grid) for name, trap in self.output.terms.items()}
 
+    @cached_property
+    def _clauses(self) -> tuple[list[tuple[str, Trapezoid]], list[tuple[int, ...]]]:
+        """Each distinct (variable, term) clause once, in order of first use,
+        as (variable, term shape); and per rule the indices of its clauses."""
+        index: dict[tuple[str, str], int] = {}
+        for rule in self.rules:
+            for clause in rule.antecedent:
+                index.setdefault(clause, len(index))
+        shapes = [(var, self.inputs[var].terms[term]) for var, term in index]
+        return shapes, [tuple(index[clause] for clause in rule.antecedent) for rule in self.rules]
+
+    @cached_property
+    def _crisp(self) -> dict[tuple[float, ...], float]:
+        """infer's memo: crisp output by consequent levels, in output-term
+        order; it holds at most MEMO_SIZE entries."""
+        return {}
+
 
 def rule_activations(rb: RuleBase, inputs: Mapping[str, float]) -> tuple[float, ...]:
     """Activation of each rule: min over its antecedent memberships."""
     for var in rb.inputs:
         if var not in inputs:
             raise MissingInputError(var)
-    return tuple(
-        min(rb.inputs[var].terms[term].membership(inputs[var]) for var, term in rule.antecedent)
-        for rule in rb.rules
-    )
+    shapes, rule_clauses = rb._clauses
+    degree = [shape.membership(inputs[var]) for var, shape in shapes]
+    return tuple(min([degree[k] for k in clauses]) for clauses in rule_clauses)
 
 
 def consequent_levels(rb: RuleBase, activations: Sequence[float]) -> dict[str, float]:
@@ -178,9 +196,19 @@ def centroid(mu: np.ndarray, grid: np.ndarray | None = None) -> float:
 
 
 def infer(rb: RuleBase, inputs: Mapping[str, float]) -> float:
-    """Crisp output in [0, 1] for the given input assignment."""
+    """Crisp output in [0, 1] for the given input assignment.
+
+    The defuzzified output depends on the inputs only through the
+    consequent levels, so it is memoised per rule base on those levels.
+    """
     levels = consequent_levels(rb, rule_activations(rb, inputs))
-    return centroid(aggregate(rb, levels), rb.grid)
+    key = tuple(levels.values())
+    crisp = rb._crisp.get(key)
+    if crisp is None:
+        crisp = centroid(aggregate(rb, levels), rb.grid)
+        if len(rb._crisp) < MEMO_SIZE:
+            rb._crisp[key] = crisp
+    return crisp
 
 
 # Default terms: one three-level partition reused by every input variable.
@@ -215,7 +243,8 @@ def default_rule_base(samples: int = 1001) -> RuleBase:
     """The built-in operator-selection rules over quality, intensification
     and diversification.  High quality or high diversity argues for keeping
     the current operator; poor quality with little diversity argues for a
-    change.  Cached per `samples`: every caller shares one read-only object."""
+    change.  Cached per `samples`: every caller shares one object, which
+    is read-only apart from `infer`'s memo."""
     return RuleBase(
         inputs={
             "quality": LinguisticVariable(

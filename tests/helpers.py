@@ -265,9 +265,15 @@ def fis_reference(instance: Instance, population_size=20, max_iterations=100, se
     return Solution(best_perm, best_obj, best_perm[:best_obj]), tuple(history), tuple(operators)
 
 
+SA_BLOCK = 256  # swap-position pairs per rng.integers call, as in the annealer
+
+
 def sa_reference(instance: Instance, alpha, t_initial, t_final=0.0, seed=0):
-    """Swap annealing drawn one scalar at a time, every proposal evaluated,
-    cooling until T falls to max(t_final, 0.001).  Returns (solution, history)."""
+    """Swap annealing with every proposal evaluated, cooling until T falls
+    to max(t_final, 0.001).  Positions come SA_BLOCK (i, j) pairs at a time
+    from one rng.integers call, i below n and j below n - 1 (j steps over
+    i); rng.random() is drawn in between, for worsening moves only.
+    Returns (solution, history)."""
     rng = np.random.default_rng(seed)
     n = instance.n
     length = prefix_length(instance)
@@ -276,9 +282,14 @@ def sa_reference(instance: Instance, alpha, t_initial, t_final=0.0, seed=0):
     best, best_obj = current, value
     temperature = t_initial
     history = []
+    pending = []  # the current block's pairs still to use, last one first
     while temperature > max(t_final, 0.001):
         if n >= 2:
-            i, j = _distinct_pair(rng, n)
+            if not pending:
+                pending = rng.integers([n, n - 1], size=(SA_BLOCK, 2)).tolist()[::-1]
+            i, j = pending.pop()
+            if j >= i:
+                j += 1
             q = list(current)
             q[i], q[j] = q[j], q[i]
             delta = length(q) - value

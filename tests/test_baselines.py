@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +184,22 @@ class TestSimulatedAnnealing:
         inst = validate_instance("one", ["only"], [("r1", ["only"])])
         res = simulated_annealing(inst, SAParams(seed=0))
         assert res.solution.selected == (0,)
+
+    def test_long_schedule_memory_is_bounded(self):
+        # About 7.6e4 steps.  The history list and tuple take about 1.2 MB;
+        # drawing every step's positions at once (2.5-17 MB peak in trials:
+        # one int64 array, or its list form) or listing every temperature
+        # (3.7 MB) crosses the 2 MB line, drawing BLOCK pairs at a time does not.
+        inst = validate_instance("three", ["a", "b", "c"], [("r1", ["a"]), ("r2", ["b", "c"])])
+        params = SAParams(alpha=0.999, t_initial=1e30, seed=1)
+        tracemalloc.start()
+        try:
+            res = simulated_annealing(inst, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.history) == 75948
+        assert peak < 2_000_000
 
 
 def test_solve_report_runs_given_configs_at_run_seeds():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,10 @@ from tsred import (
     infer,
     rule_base_from_json,
 )
+from tsred import fuzzy
 from tsred.fuzzy import (
     MAX_SAMPLES,
+    MEMO_SIZE,
     FuzzyDomainError,
     MissingInputError,
     aggregate,
@@ -236,3 +239,45 @@ def test_rule_base_from_json_rejects_bad_breakpoints():
     }
     with pytest.raises(ValueError, match="four breakpoints"):
         rule_base_from_json(json.dumps(payload))
+
+
+def uncached_infer(rb, inputs):
+    return centroid(aggregate(rb, consequent_levels(rb, rule_activations(rb, inputs))), rb.grid)
+
+
+def reshaped_rule_base() -> RuleBase:
+    """The default rules and inputs with output terms of other shapes, so
+    that equal inputs give equal consequent levels but another output."""
+    rb = default_rule_base()
+    output = LinguisticVariable(
+        "operator-selection",
+        {"Change": Trapezoid(0.0, 0.0, 0.1, 0.6), "Maintain": Trapezoid(0.4, 0.9, 1.0, 1.0)},
+    )
+    return RuleBase(rb.inputs, output, rb.rules)
+
+
+RESHAPED = reshaped_rule_base()
+# a few values on term breakpoints, so that level tuples repeat across calls
+UNIT = st.sampled_from([0.0, 0.2, 0.35, 0.5, 0.65, 0.8, 1.0]) | st.floats(0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), UNIT, UNIT, UNIT), min_size=1, max_size=20))
+def test_infer_memo_matches_uncached_inference(calls):
+    # three rule bases interleaved: the same level tuple looked up in
+    # another rule base must not return that rule base's output
+    bases = (default_rule_base(), default_rule_base(2001), RESHAPED)
+    for which, q, i, d in calls:
+        rb = bases[which]
+        inputs = {"quality": q, "intensification": i, "diversification": d}
+        assert infer(rb, inputs).hex() == uncached_infer(rb, inputs).hex()
+        assert len(rb._crisp) <= MEMO_SIZE
+
+
+def test_infer_memo_stops_growing_at_its_cap(monkeypatch):
+    monkeypatch.setattr(fuzzy, "MEMO_SIZE", 3)
+    rb = replace(default_rule_base())  # a fresh object, with an empty memo
+    for q in np.linspace(0.0, 1.0, 11).tolist():
+        inputs = {"quality": q, "intensification": 0.5, "diversification": 0.5}
+        assert infer(rb, inputs) == uncached_infer(rb, inputs)
+    assert len(rb._crisp) == 3

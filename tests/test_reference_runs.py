@@ -1,10 +1,12 @@
-"""FIS and SA against their scalar-draw references in helpers.py.
+"""FIS and SA against their plain-loop references in helpers.py.
 
 run_fis takes each iteration's position draws in one batched call and skips
 the evaluation of moves that leave the covering prefix alone; SA skips it for
 swaps past the prefix.  Neither may change a result: for a given seed the
 solution, the history and the operator log must equal those of the plain
-loops, which draw one scalar at a time and evaluate every candidate.
+loops, which evaluate every candidate.  The FIS reference draws one scalar
+at a time; the SA reference takes its swap positions in blocks of
+helpers.SA_BLOCK pairs, as the annealer does, from code of its own.
 """
 
 import random
