@@ -11,7 +11,6 @@ from .baselines import SAParams, greedy_ge, greedy_gre, hgs, simulated_annealing
 from .core import ALGORITHMS, Instance, ParameterError, is_cover, reduction_percent
 from .corpus import builtin, builtin_names
 from .fis import FISConfig, run_fis
-from .fuzzy import RuleBase
 from .io import RunReport, RunResult, write_json
 from .oracle import minimum_cover
 
@@ -114,13 +113,12 @@ class BenchSummary:
 
 
 def bench_suite(
-    runs: int = 15, seed: int = 1, rule_base: RuleBase | None = None
+    runs: int = 15, seed: int = 1, fis_config: FISConfig | None = None
 ) -> BenchSummary:
     """Full sweep: every algorithm on every bundled instance, plus the exact
-    minimum for reference."""
+    minimum for reference.  FIS runs with `fis_config`, as in solve_report."""
     check_runs(seed, runs)
     names = builtin_names()
-    fis_config = FISConfig(rule_base=rule_base)
     cells = []
     minima: dict[str, int] = {}
     for name in names:

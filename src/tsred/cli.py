@@ -147,10 +147,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    rule_base = _rule_base_from_env()
+    fis_config = FISConfig(rule_base=_rule_base_from_env())
     check_runs(args.seed, args.runs)
     _check_output(args.output)
-    summary = bench_suite(runs=args.runs, seed=args.seed, rule_base=rule_base)
+    summary = bench_suite(runs=args.runs, seed=args.seed, fis_config=fis_config)
     sys.stdout.write(render_tables(summary))
     if args.output:
         _emit(summary_json(summary), args.output)

@@ -54,11 +54,23 @@ def measure_quality(previous_objective: int, current_objective: int, n: int) -> 
     return min(1.0, max(0.0, value))
 
 
-def measure_diversification(x: Sequence[int], population: Sequence[Sequence[int]]) -> float:
-    """Mean hamming distance from x to the population members."""
-    if not population:
+def measure_diversification(
+    x: Sequence[int], population: Sequence[Sequence[int]] | np.ndarray
+) -> float:
+    """Mean hamming distance from x to the population members, given as
+    sequences or as the rows of a 2-D int array.  The same float as summing
+    `hamming(x, p)` member by member: the same quotients, added in order."""
+    if len(population) == 0:
         raise ValueError("population is empty")
-    return sum(hamming(x, p) for p in population) / len(population)
+    n = len(x)
+    lengths = population.shape[1:] if isinstance(population, np.ndarray) else map(len, population)
+    for length in lengths:
+        if length != n:
+            raise LengthMismatchError(f"lengths differ: {n} vs {length}")
+    if not n:
+        return 0.0
+    distances = (np.asarray(population) != x).sum(axis=1).tolist()
+    return sum([d / n for d in distances]) / len(distances)
 
 
 def measure_intensification(x: Sequence[int], best: Sequence[int]) -> float:
@@ -230,10 +242,7 @@ def run_fis(instance: Instance, config: FISConfig | None = None) -> FISResult:
 
         quality = measure_quality(previous_best, iter_obj, n)
         intensification = measure_intensification(iter_perm, best_perm)
-        # measure_diversification(iter_perm, population), the same float:
-        # the same distances, summed in the same order
-        distances = (rows != iter_perm).sum(axis=1).tolist()
-        diversification = sum([d / n for d in distances]) / size
+        diversification = measure_diversification(iter_perm, rows)
         if iter_obj < best_obj:
             best_perm, best_obj = iter_perm, iter_obj
         history.append(best_obj)

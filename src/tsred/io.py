@@ -102,9 +102,15 @@ _EXPECTED = {dict: "an object", list: "a list", str: "a string", int: "an intege
 
 
 def _typed(value: Any, kind: Any, path: str) -> Any:
-    """`value` itself if it has the JSON type `kind`, else FieldTypeError."""
+    """`value` itself if it has the JSON type `kind`, else FieldTypeError.
+    A number comes back as a float, so one too large for a float is refused."""
     if not isinstance(value, kind) or isinstance(value, bool):
         raise FieldTypeError(path, _EXPECTED[kind])
+    if kind is _NUMBER:
+        try:
+            return float(value)
+        except OverflowError:
+            raise FieldTypeError(path, "a number within float range") from None
     return value
 
 
@@ -232,7 +238,7 @@ def parse_report(data: str | bytes) -> RunReport:
             RunResult(
                 _strings(entry, "selected", where),
                 _field(entry, "size", int, where),
-                float(_field(entry, "millis", _NUMBER, where)),
+                _field(entry, "millis", _NUMBER, where),
             )
         )
     report = RunReport(
@@ -255,7 +261,7 @@ def parse_report(data: str | bytes) -> RunReport:
 def _trapezoid(raw: Any, path: str) -> Trapezoid:
     if len(_typed(raw, list, path)) != 4:
         raise FieldTypeError(path, "four breakpoints")
-    return Trapezoid(*(float(_typed(v, _NUMBER, f"{path}[{i}]")) for i, v in enumerate(raw)))
+    return Trapezoid(*(_typed(v, _NUMBER, f"{path}[{i}]") for i, v in enumerate(raw)))
 
 
 def _terms(raw: Any, path: str) -> dict[str, Trapezoid]:

@@ -37,12 +37,7 @@ class OracleResult:
     nodes: int = 0  # branch-and-bound nodes visited; for enumeration, its own search only
 
 
-# per-test requirement masks and per-requirement candidate masks in the bound's
-# numbering, and each requirement's number in it
-_Space = tuple[list[int], tuple[int, ...], list[int]]
-
-
-def _bound_space(instance: Instance) -> _Space:
+def _bound_space(instance: Instance) -> tuple[list[int], tuple[int, ...], list[int]]:
     """The requirements renumbered by ascending candidate count, ties by
     index.  Returns each test's requirement mask and each requirement's
     candidate mask in the new numbering, and the new number of each
@@ -125,17 +120,17 @@ def _reduce(instance: Instance, drop_tests: bool) -> tuple[set[int], int, int]:
 
 
 def _search(
-    masks, req_masks, space: _Space | None, uncovered: int, chosen: set[int], allowed: int,
-    limit: int, leaf,
+    instance: Instance, uncovered: int, chosen: set[int], allowed: int, limit: int, leaf
 ) -> tuple[int, int]:
     """Branch and bound over covers of at most `limit` tests that extend
-    `chosen`.  `space` is `_bound_space` of the instance; it is read only
-    when something is uncovered, so it may be None otherwise.
+    `chosen`.
 
     `leaf(chosen)` is called on each such cover and returns the new limit;
     a negative limit ends the search.  Returns the limit in force on exit
     and the number of nodes visited.
     """
+    masks = instance.test_masks
+    req_masks = instance.candidate_masks
     nodes = 0
 
     def visit(uncovered: int, uncovered_b: int, allowed: int, limit: int) -> int:
@@ -163,47 +158,34 @@ def _search(
 
     uncovered_b = 0
     if uncovered:
-        masks_b, req_b, rank = space
+        masks_b, req_b, rank = _bound_space(instance)
         for i in bits(uncovered):
             uncovered_b |= 1 << rank[i]
     return visit(uncovered, uncovered_b, allowed, limit), nodes
 
 
-def _solve(instance: Instance) -> tuple[OracleResult, _Space | None]:
-    """`minimum_cover`, and the `_bound_space` it built (None if it needed
-    none) for enumeration to reuse."""
+def minimum_cover(instance: Instance) -> OracleResult:
+    """Size and one witness of a minimum cover."""
     if instance.n > MAX_TESTS:
         raise TooLargeError(f"{instance.n} tests exceeds the oracle limit of {MAX_TESTS}")
-    masks = instance.test_masks
     forced, uncovered, allowed = _reduce(instance, drop_tests=True)
-    space = _bound_space(instance) if uncovered else None
-    best = set(greedy_fill(masks, uncovered, allowed)) | forced  # upper bound to beat
+    best = set(greedy_fill(instance.test_masks, uncovered, allowed)) | forced  # upper bound to beat
 
     def improve(chosen: set[int]) -> int:
         nonlocal best
         best = set(chosen)
         return len(best) - 1
 
-    _, nodes = _search(
-        masks, instance.candidate_masks, space, uncovered, forced, allowed, len(best) - 1, improve
-    )
-    return OracleResult(minimum_size=len(best), witness=frozenset(best), nodes=nodes), space
-
-
-def minimum_cover(instance: Instance) -> OracleResult:
-    """Size and one witness of a minimum cover."""
-    return _solve(instance)[0]
+    _, nodes = _search(instance, uncovered, forced, allowed, len(best) - 1, improve)
+    return OracleResult(minimum_size=len(best), witness=frozenset(best), nodes=nodes)
 
 
 def enumerate_minimum_covers(instance: Instance, cap: int = 1000) -> OracleResult:
     """All minimum covers, lexicographically sorted, up to `cap` of them."""
     if cap < 1:
         raise ParameterError("cap must be positive")
-    best, space = _solve(instance)
-    k = best.minimum_size
+    k = minimum_cover(instance).minimum_size
     forced, uncovered, allowed = _reduce(instance, drop_tests=False)
-    if uncovered and space is None:
-        space = _bound_space(instance)
     found: list[tuple[int, ...]] = []
 
     def record(chosen: set[int]) -> int:
@@ -211,9 +193,7 @@ def enumerate_minimum_covers(instance: Instance, cap: int = 1000) -> OracleResul
         found.append(tuple(sorted(chosen)))
         return -1 if len(found) >= cap else k
 
-    limit, nodes = _search(
-        instance.test_masks, instance.candidate_masks, space, uncovered, forced, allowed, k, record
-    )
+    limit, nodes = _search(instance, uncovered, forced, allowed, k, record)
     covers = tuple(frozenset(c) for c in sorted(found))
     return OracleResult(
         minimum_size=k,

@@ -103,6 +103,38 @@ def test_refused_setting_leaves_no_output_file(capsys, tmp_path, argv):
     assert not target.exists()
 
 
+# rule bases that parse as JSON but are refused: one over an input FIS does
+# not measure, one with a breakpoint too large for a float
+FOREIGN_RULE_BASE = {
+    "variables": {"speed": {"Any": [0, 0, 1, 1]}},
+    "output": {"name": "decision", "terms": {"Any": [0, 0, 1, 1]}},
+    "rules": [{"if": {"speed": "Any"}, "then": "Any"}],
+}
+HUGE_RULE_BASE = {
+    "variables": {"quality": {"Any": [0, 0, 1, 10**400]}},
+    "output": {"name": "decision", "terms": {"Any": [0, 0, 1, 1]}},
+    "rules": [{"if": {"quality": "Any"}, "then": "Any"}],
+}
+
+
+@pytest.mark.parametrize(
+    "rule_base", [FOREIGN_RULE_BASE, HUGE_RULE_BASE], ids=["foreign-input", "huge-breakpoint"]
+)
+@pytest.mark.parametrize(
+    "argv", [("solve", "--instance", EXP1), ("bench", "--runs", "1")], ids=["solve", "bench"]
+)
+def test_refused_rule_base_leaves_no_output_file(capsys, tmp_path, monkeypatch, rule_base, argv):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(rule_base))
+    monkeypatch.setenv("TSRED_RULEBASE", str(path))
+    target = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not target.exists()
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     code = main([])
     capsys.readouterr()

@@ -58,6 +58,31 @@ def test_measure_diversification_and_intensification():
         measure_diversification(x, [])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 12).flatmap(
+        lambda n: st.tuples(
+            st.permutations(range(n)), st.lists(st.permutations(range(n)), min_size=1, max_size=8)
+        )
+    )
+)
+def test_measure_diversification_array_equals_sequences(case):
+    x, pop = tuple(case[0]), [tuple(p) for p in case[1]]
+    expected = sum(hamming(x, p) for p in pop) / len(pop)
+    assert measure_diversification(x, np.array(pop, dtype=np.int64)) == expected
+    assert measure_diversification(x, pop) == expected
+
+
+def test_measure_diversification_refuses_bad_population():
+    x = (0, 1, 2)
+    for pop in ([(0, 1, 2), (0, 1)], np.array([[0, 1], [1, 0]])):
+        with pytest.raises(LengthMismatchError):
+            measure_diversification(x, pop)
+    for empty in ([], np.empty((0, 3), np.int64)):
+        with pytest.raises(ValueError, match="empty"):
+            measure_diversification(x, empty)
+
+
 def test_position_operators_exact():
     p = (10, 11, 12, 13, 14)
     assert swap_at(p, 0, 3) == (13, 11, 12, 10, 14)

@@ -246,7 +246,9 @@ def test_report_rejects_field_no_solver_writes(edit_document, edit_report):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("selected", "t7"), ("size", "2"), ("size", True), ("millis", "1")]
+    "field, value",
+    [("selected", "t7"), ("size", "2"), ("size", True), ("millis", "1"),
+     pytest.param("millis", 10**400, id="millis-too-large-for-a-float")],
 )
 def test_parse_report_rejects_mistyped_run_field(field, value):
     inst = builtin("experiment-1")
@@ -272,8 +274,10 @@ def _any_rule_base():
         (lambda rb: rb["output"].pop("name"), MissingFieldError, "output.name"),
         (lambda rb: rb["rules"][0].update(then=1), FieldTypeError, "rules[0].then"),
         (lambda rb: rb.update(samples=1001.5), FieldTypeError, "samples"),
+        (lambda rb: rb["variables"]["quality"]["Any"].__setitem__(3, 10**400), FieldTypeError,
+         "variables.quality.Any[3]"),
     ],
-    ids=["missing-key", "wrong-type", "non-integer-samples"],
+    ids=["missing-key", "wrong-type", "non-integer-samples", "huge-breakpoint"],
 )
 def test_rule_base_from_json_names_bad_field(mutate, error, field):
     payload = _any_rule_base()

@@ -43,6 +43,22 @@ def test_bundled_witnesses_are_frozen():
         assert inst.ids(sorted(minimum_cover(inst).witness)) == witness, name
 
 
+# nodes visited by minimum_cover and by enumerate_minimum_covers' own search
+BUNDLED_NODES = {
+    "experiment-1": (1, 11),
+    "experiment-2": (1, 7),
+    "experiment-3": (5, 25),
+    "experiment-4": (1, 170),
+    "experiment-5": (1, 63),
+}
+
+
+def test_bundled_node_counts_are_frozen():
+    for name, nodes in BUNDLED_NODES.items():
+        inst = builtin(name)
+        assert (minimum_cover(inst).nodes, enumerate_minimum_covers(inst).nodes) == nodes, name
+
+
 def test_node_counts_repeat_exactly():
     inst = builtin("experiment-4")
     first = minimum_cover(inst), enumerate_minimum_covers(inst)
