@@ -32,7 +32,6 @@ from .fis import (
     measure_intensification,
     measure_quality,
     run_fis,
-    select_operator,
 )
 from .fuzzy import (
     LinguisticVariable,
@@ -112,7 +111,6 @@ __all__ = [
     "render_tables",
     "rule_base_from_json",
     "run_fis",
-    "select_operator",
     "simulated_annealing",
     "solve_report",
     "validate_instance",

@@ -137,7 +137,7 @@ def bench_suite(
                     sizes=sizes,
                     mean_size=statistics.fmean(sizes),
                     stddev_size=statistics.pstdev(sizes),
-                    reduction_text=reduction_percent(inst.n, report.best_size).text,
+                    reduction_text=reduction_percent(inst.n, report.best_size),
                     mean_millis=round(statistics.fmean(r.millis for r in report.runs), 3),
                 )
             )

@@ -108,6 +108,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
+    if args.cap < 1:  # refused even without --enumerate, the one mode that reads it
+        raise ParameterError("cap must be positive")
     try:
         if args.enumerate:
             result = enumerate_minimum_covers(instance, cap=args.cap)
@@ -118,7 +120,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     reduction = reduction_percent(instance.n, result.minimum_size)
     print(f"instance: {instance.name}")
     print(f"minimum size: {result.minimum_size}")
-    print(f"reduction: {reduction.text}%")
+    print(f"reduction: {reduction}%")
     print(f"witness: {', '.join(instance.ids(sorted(result.witness)))}")
     print(f"nodes: {result.nodes}")
     if result.covers is not None:
@@ -139,7 +141,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if is_cover(instance, selection):
         reduction = reduction_percent(instance.n, len(set(selection)))
         print(f"VALID: {len(set(selection))} tests cover all {instance.m} requirements "
-              f"(reduction {reduction.text}%)")
+              f"(reduction {reduction}%)")
         return EXIT_OK
     missing = [req.id for req in instance.requirements if req.candidates.isdisjoint(selection)]
     print(f"INVALID: uncovered requirements: {', '.join(missing)}")

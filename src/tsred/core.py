@@ -13,9 +13,8 @@ essential tests, drop dominated members, pick the test of largest gain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 
 # The reducers by name, in table order: bench dispatches on these names and
@@ -271,14 +270,12 @@ def distinct_pair(i: int, j: int) -> tuple[int, int]:
     return i, j + (j >= i)
 
 
-class Reduction(NamedTuple):
-    exact: Fraction
-    text: str
+def reduction_percent(n: int, k: int) -> str:
+    """Reduction 100*(n-k)/n as text to one decimal; k = 0 (no requirements) is "100.0".
 
-
-def reduction_percent(n: int, k: int) -> Reduction:
-    """Reduction 100*(n-k)/n, exact and to one decimal; k = 0 (no requirements) is 100%."""
+    Int true division is correctly rounded, so the text is that of the exact ratio's
+    nearest float.
+    """
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"selected size {k} out of range for suite of {n}")
-    exact = Fraction(100 * (n - k), n)
-    return Reduction(exact, f"{float(exact):.1f}")
+    return f"{100 * (n - k) / n:.1f}"

@@ -29,7 +29,7 @@ from .fuzzy import RuleBase, default_rule_base, infer
 
 OPERATORS: tuple[str, ...] = ("swap", "insertion", "reversal", "crossover")
 
-# The inputs select_operator gives the rule base, and the most objective
+# The inputs run_fis gives the rule base, and the most objective
 # evaluations (population_size x max_iterations) one run may ask for.
 MEASURES = frozenset({"quality", "intensification", "diversification"})
 MAX_EVALUATIONS = 1_000_000
@@ -43,7 +43,7 @@ def hamming(p: Sequence[int], q: Sequence[int]) -> float:
     """Fraction of positions where two equal-length sequences differ."""
     if len(p) != len(q):
         raise LengthMismatchError(f"lengths differ: {len(p)} vs {len(q)}")
-    if not p:
+    if not len(p):
         return 0.0
     return sum(map(ne, p, q)) / len(p)
 
@@ -60,6 +60,8 @@ def measure_diversification(
     """Mean hamming distance from x to the population members, given as
     sequences or as the rows of a 2-D int array.  The same float as summing
     `hamming(x, p)` member by member: the same quotients, added in order."""
+    if isinstance(population, np.ndarray) and population.ndim != 2:
+        raise LengthMismatchError(f"population array is {population.ndim}-D, not 2-D")
     if len(population) == 0:
         raise ValueError("population is empty")
     n = len(x)
@@ -140,32 +142,6 @@ def _positions(op: str, draws: Sequence[int]) -> tuple[int, int]:
     return (i, j) if op == "swap" else (min(i, j), max(i, j))
 
 
-def select_operator(
-    current: str,
-    rule_base: RuleBase,
-    quality: float,
-    intensification: float,
-    diversification: float,
-    rng: np.random.Generator,
-) -> str:
-    """Keep `current` iff the defuzzified decision is at least 0.5.
-
-    Below 0.5 a different operator is drawn uniformly from the rest of `OPERATORS`.
-    """
-    crisp = infer(
-        rule_base,
-        {
-            "quality": quality,
-            "intensification": intensification,
-            "diversification": diversification,
-        },
-    )
-    if crisp >= 0.5:
-        return current
-    others = [op for op in OPERATORS if op != current]
-    return others[int(rng.integers(len(others)))]
-
-
 @dataclass
 class FISConfig:
     population_size: int = 20
@@ -208,12 +184,11 @@ def run_fis(instance: Instance, config: FISConfig | None = None) -> FISResult:
     best_idx = min(range(len(population)), key=objectives.__getitem__)
     best_perm, best_obj = population[best_idx], objectives[best_idx]
     current_op = OPERATORS[int(rng.integers(len(OPERATORS)))]
-    # Per operator, the bounds of one iteration's draws, one row per member:
-    # crossover's mate draw, then the move's position draws.
-    bounds = {}
-    for op in OPERATORS:
-        row = ((size,) if op == "crossover" else ()) + _position_bounds(op, n)
-        bounds[op] = np.tile(np.array(row, np.int64), (size, 1))
+    # Per operator, the bounds of one member's draws: crossover's mate draw,
+    # then the move's position draws.
+    bounds = {
+        op: ((size,) if op == "crossover" else ()) + _position_bounds(op, n) for op in OPERATORS
+    }
 
     history: list[int] = []
     op_log: list[str] = []
@@ -223,7 +198,8 @@ def run_fis(instance: Instance, config: FISConfig | None = None) -> FISResult:
         iter_perm: tuple[int, ...] | None = None
         iter_obj = n + 1
         crossover = current_op == "crossover"
-        for k, draws in enumerate(rng.integers(bounds[current_op]).tolist()):
+        high = bounds[current_op]
+        for k, draws in enumerate(rng.integers(high, size=(size, len(high))).tolist()):
             member, own = population[k], objectives[k]
             mate = population[draws.pop(0)] if crossover else member
             i, j = _positions(current_op, draws)
@@ -240,14 +216,21 @@ def run_fis(instance: Instance, config: FISConfig | None = None) -> FISResult:
                 population[k], objectives[k] = candidate, cand_obj
                 rows[k] = candidate
 
-        quality = measure_quality(previous_best, iter_obj, n)
-        intensification = measure_intensification(iter_perm, best_perm)
-        diversification = measure_diversification(iter_perm, rows)
+        # The controller keeps the operator iff its crisp decision is at least
+        # 0.5; below, a different one is drawn uniformly from the rest.
+        crisp = infer(
+            rb,
+            {
+                "quality": measure_quality(previous_best, iter_obj, n),
+                "intensification": measure_intensification(iter_perm, best_perm),
+                "diversification": measure_diversification(iter_perm, rows),
+            },
+        )
         if iter_obj < best_obj:
             best_perm, best_obj = iter_perm, iter_obj
         history.append(best_obj)
-        current_op = select_operator(
-            current_op, rb, quality, intensification, diversification, rng
-        )
+        if crisp < 0.5:
+            others = [op for op in OPERATORS if op != current_op]
+            current_op = others[int(rng.integers(len(others)))]
 
     return FISResult(decode(instance, best_perm), tuple(history), tuple(op_log))

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .core import ALGORITHMS, Instance, Reduction, is_cover, reduction_percent, validate_instance
+from .core import ALGORITHMS, Instance, is_cover, reduction_percent, validate_instance
 from .fuzzy import LinguisticVariable, Rule, RuleBase, Trapezoid
 
 
@@ -173,7 +173,7 @@ class RunReport:
     best_size: int
 
     @property
-    def reduction(self) -> Reduction:
+    def reduction(self) -> str:
         return reduction_percent(self.total_tests, self.best_size)
 
 
@@ -224,7 +224,7 @@ def write_report(report: RunReport, instance: Instance) -> str:
             for r in report.runs
         ],
         "best_size": report.best_size,
-        "reduction_percent": report.reduction.text,
+        "reduction_percent": report.reduction,
     })
 
 
@@ -251,7 +251,7 @@ def parse_report(data: str | bytes) -> RunReport:
     )
     stated = _field(raw, "reduction_percent", str)
     problems = _report_problems(report)
-    if not problems and stated != report.reduction.text:
+    if not problems and stated != report.reduction:
         problems.append(f"reduction_percent {stated!r} does not match best_size {report.best_size}")
     if problems:
         raise InvalidReportError("; ".join(problems))

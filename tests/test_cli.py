@@ -83,6 +83,8 @@ OUT_OF_RANGE = [
     ("bench", "--runs", "10001"),
     # a greedy reducer draws nothing, yet a negative seed is still a usage error
     ("solve", "--instance", EXP1, "--algorithm", "ge", "--seed", "-1"),
+    # the cap only limits --enumerate, yet is refused without it too
+    ("oracle", "--instance", EXP1, "--cap", "0"),
 ]
 
 

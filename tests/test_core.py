@@ -95,13 +95,15 @@ def test_objective_rejects_non_covering_sequence(tiny):
 
 
 def test_reduction_percent_exact_and_text():
-    red = reduction_percent(7, 3)
-    assert red.exact == Fraction(400, 7)
-    assert red.text == "57.1"
-    assert reduction_percent(31, 11).text == "64.5"
-    assert reduction_percent(5, 5).text == "0.0"
-    assert reduction_percent(4, 1).exact == Fraction(75)
-    assert reduction_percent(4, 0).text == "100.0"  # empty cover, no requirements
+    assert reduction_percent(7, 3) == "57.1"
+    assert reduction_percent(31, 11) == "64.5"
+    assert reduction_percent(5, 5) == "0.0"
+    assert reduction_percent(4, 1) == "75.0"
+    assert reduction_percent(4, 0) == "100.0"  # empty cover, no requirements
+    # the text is that of the exact ratio, rounded once to a float
+    for n in range(1, 301):
+        for k in range(n + 1):
+            assert reduction_percent(n, k) == f"{float(Fraction(100 * (n - k), n)):.1f}"
 
 
 def test_reduction_percent_guards():

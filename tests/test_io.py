@@ -140,7 +140,7 @@ def test_report_roundtrip():
 
 def test_report_reduction_property():
     inst = builtin("experiment-1")
-    assert _report(inst).reduction.text == "57.1"
+    assert _report(inst).reduction == "57.1"
 
 
 def test_write_report_rejects_non_cover():

@@ -7,13 +7,27 @@ These digests can: each is the SHA-256 of `repr(result)` for a bundled
 instance at seeds 1, 2 and 3 under the default settings.  The FIS digests
 predate the memoised `infer`; the SA digests are those of the annealer that
 draws its swap positions in blocks of `baselines.BLOCK` pairs.
+
+The report and summary digests pin the bytes a user sees: `write_report` of
+a two-run report at seed 3 for every (bundled instance, algorithm) pair,
+with the clock held still, and `summary_json` of a three-run sweep at seed 1.
 """
 
 import hashlib
 
 import pytest
 
-from tsred import FISConfig, SAParams, builtin, run_fis, simulated_annealing
+from tsred import (
+    ALGORITHMS,
+    FISConfig,
+    SAParams,
+    builtin,
+    run_fis,
+    simulated_annealing,
+    solve_report,
+    write_report,
+)
+from tsred.bench import bench_suite, summary_json
 
 SEEDS = (1, 2, 3)
 
@@ -73,6 +87,46 @@ SA_DIGESTS = {
     ),
 }
 
+REPORT_DIGESTS = {
+    "experiment-1": {
+        "fis": "9c4edf586ccd784ca3475f8e0a7ee30d80862c5f1b5258b879755640a4f76e3e",
+        "sa": "5558dd1cff650965487ce335ad53409dcf3f85d14ab1805d7d9ac80433cd6fdb",
+        "ge": "137b3807929d2df106d69aa64a6c8992b98a1608d5f4c0f77728d84581d70dc6",
+        "gre": "53677c3c258a236370a4dc401f8fe1728e520bb18487e3f420be8b51b1cba6dd",
+        "hgs": "5a670ec1d946699f48c67e45ca80318aef0dd4c661e63429da643ec757188def",
+    },
+    "experiment-2": {
+        "fis": "88a92de23b06d624e96a6fb18cf21ec2def28a5aa9a5b79112c860b20010980a",
+        "sa": "0bb8822f09131807d49a596127fa16b7c1d1eef6d7226b43015adfc758f2d26b",
+        "ge": "e8b1186adfdc7305b63e2a20a8a644a7b1e40a7fb5fadf145355603f2a279903",
+        "gre": "8915a22e509977074ae5fb31948caf958d76990d47d1795fd06de702d1e7438e",
+        "hgs": "c5494fb564a7eea6c37edcf64212ae8e47cc7b8c2656093fa081ef9d36641831",
+    },
+    "experiment-3": {
+        "fis": "39641ef99797485549e22e60fc1f35641b3c146896c90a1770b39c3a2a3a9dde",
+        "sa": "96e4846a2c633b32ccae684d2ac76998e65691ff3e6cc6291385ece1c69f0827",
+        "ge": "2f9ce033bdf2a565bb3eaf0b27eef637c6ed50022bdfc1bdc61dd6d295864f9e",
+        "gre": "93873adccd988f882935c01485a2ff22e298712e401d74b72f5eeb77952a00c7",
+        "hgs": "38202f683ff734a37f4803ff3935bd14f9e273aea498ae57b12d175eb9c83a56",
+    },
+    "experiment-4": {
+        "fis": "4604c36ed1bd2823d40dc617e9bb447888c3fca69456c49c6d0bdbe3d00425ec",
+        "sa": "fc8362d97ff8bfb669277365f67dc987d8b1e18a5309b006792080aa717187e0",
+        "ge": "f753acea25248c952b2b9cfc7041b55b27c29c8f8e90f345da2eed43c95db0c5",
+        "gre": "d02962970c94f2e7cf2821d1a89646fb9b974b84d7e3a8d71278200afe03c6a5",
+        "hgs": "8981110df6cadce292457a159b5e6aa108558193fe5cb42a7283733e5339e4ef",
+    },
+    "experiment-5": {
+        "fis": "c9a183b6548da6477ad7f9e80cf2a4817b66657267846e1090cad554b973ed9d",
+        "sa": "1109bef6f3a3d837154533733db357525c4157fb7a4b14dfc0299ed6ef4258a7",
+        "ge": "3db84b5563ff60fa1d81c93a6eb41afcbd14fe9491a902d0f31d1dc39cf90e0f",
+        "gre": "0ea4b7e0b254d16f10f5f3ddce537099f967d5511397aa8e6c25b6503a20fb0b",
+        "hgs": "ba020d6403b8331e8fe66307e3e11aa31e2145b82121f96b2fa0073944d95cb6",
+    },
+}
+
+SUMMARY_DIGEST = "29ae9e747af4f33bfe2c365d9bbd5902f46ac897670bfdd2fc817fee94f4bb78"
+
 
 def digest(result) -> str:
     return hashlib.sha256(repr(result).encode()).hexdigest()
@@ -90,3 +144,27 @@ def test_sa_outputs_are_pinned(name):
     instance = builtin(name)
     got = tuple(digest(simulated_annealing(instance, SAParams(seed=seed))) for seed in SEEDS)
     assert got == SA_DIGESTS[name]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def frozen_clock() -> float:
+    return 0.0
+
+
+@pytest.mark.parametrize("name", REPORT_DIGESTS)
+def test_report_bytes_are_pinned(name):
+    instance = builtin(name)
+    got = {
+        algorithm: sha256(
+            write_report(solve_report(instance, algorithm, 3, 2, clock=frozen_clock), instance)
+        )
+        for algorithm in ALGORITHMS
+    }
+    assert got == REPORT_DIGESTS[name]
+
+
+def test_summary_bytes_are_pinned():
+    assert sha256(summary_json(bench_suite(runs=3, seed=1))) == SUMMARY_DIGEST
