@@ -199,6 +199,12 @@ def test_run_finds_tiny_minimum(tiny):
 
 def test_run_respects_custom_rule_base(tiny):
     rb = _constant_rule_base("Maintain")
+    res = run_fis(tiny, FISConfig(population_size=4, max_iterations=10, seed=3, rule_base=rb))
+    assert len(set(res.operators)) == 1  # operator never changes under Maintain
+
+
+def test_select_operator_keeps_on_maintain(tiny):
+    rb = _constant_rule_base("Maintain")
     firsts = set()
     for seed in range(8):
         config = FISConfig(population_size=4, max_iterations=20, seed=seed, rule_base=rb)
