@@ -266,7 +266,11 @@ def swap_at(p: Sequence[int], i: int, j: int) -> tuple[int, ...]:
 
 def distinct_pair(i: int, j: int) -> tuple[int, int]:
     """Two distinct positions from a draw i below n and a draw j below n - 1:
-    j is moved one step up when it reaches i, so it is uniform among the rest."""
+    j is moved one step up when it reaches i, so it is uniform among the rest.
+
+    Works elementwise on int arrays too: FIS passes every member's draws at
+    once, SA one pair of ints per step.
+    """
     return i, j + (j >= i)
 
 

@@ -9,16 +9,21 @@ swap it for a uniformly random different one.
 
 All randomness flows from one numpy PCG64 generator seeded by the config, so
 runs are reproducible across platforms.  Each iteration takes every position
-draw of the whole population in one batched `rng.integers` call, which
-yields the same values as drawing them one at a time, member by member.  A
-move whose lowest touched position lies at or past the member's covering
-prefix cannot change that prefix, so it is not re-evaluated: its objective
-is the member's own.
+draw of the whole population in one `rng.integers` call on a full-shape
+bounds array (one row per member, built the first time its operator comes
+into force), which yields the same values as drawing them one at a time,
+member by member; `_positions` turns the draws into every member's move
+positions at once.  A move whose lowest touched position lies at or past the
+member's covering prefix cannot change that prefix, so it is not
+re-evaluated: its objective is the member's own.  Any other candidate's
+prefix is scanned only up to the larger of the member's objective and the
+iteration's best so far, since a longer prefix changes neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from operator import ne
 from typing import Sequence
 
@@ -128,18 +133,36 @@ def _position_bounds(op: str, n: int) -> tuple[int, ...]:
     return (n, n) if op == "insertion" else (n, n - 1)
 
 
-def _positions(op: str, draws: Sequence[int]) -> tuple[int, int]:
-    """The positions `move` takes, from draws below `_position_bounds`.
+def _positions(op: str, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every member's positions for `move`, as arrays i and j, from a
+    (members, k) array of draws below `_position_bounds`.
 
-    Without draws (a single position) this is (0, 0), which moves nothing.
+    Without draws (a single position) each member gets (0, 0), which moves
+    nothing.
     """
-    if not draws:
-        return 0, 0
-    i, j = draws
+    if not draws.shape[1]:
+        zeros = np.zeros(len(draws), np.int64)
+        return zeros, zeros
+    i, j = draws[:, 0], draws[:, 1]
     if op == "insertion":
         return i, j
     i, j = distinct_pair(i, j)
-    return (i, j) if op == "swap" else (min(i, j), max(i, j))
+    return (i, j) if op == "swap" else (np.minimum(i, j), np.maximum(i, j))
+
+
+def _prefix_within(masks: Sequence[int], full: int, p: Sequence[int], limit: int) -> int:
+    """min(objective, limit) for permutation p, given the instance's
+    `test_masks` and `full_mask`: the scan stops after `limit` positions."""
+    if not full:
+        return 0
+    covered = 0
+    # islice, not p[:limit]: short slices would collect in CPython's tuple
+    # free lists and raise peak memory
+    for pos, j in enumerate(islice(p, limit)):
+        covered |= masks[j]
+        if covered == full:
+            return pos + 1
+    return limit
 
 
 @dataclass
@@ -184,11 +207,10 @@ def run_fis(instance: Instance, config: FISConfig | None = None) -> FISResult:
     best_idx = min(range(len(population)), key=objectives.__getitem__)
     best_perm, best_obj = population[best_idx], objectives[best_idx]
     current_op = OPERATORS[int(rng.integers(len(OPERATORS)))]
-    # Per operator, the bounds of one member's draws: crossover's mate draw,
-    # then the move's position draws.
-    bounds = {
-        op: ((size,) if op == "crossover" else ()) + _position_bounds(op, n) for op in OPERATORS
-    }
+    masks, full = instance.test_masks, instance.full_mask
+    # Per operator, the bounds of every member's draws (crossover's mate
+    # draw, then the move's position draws), one row per member.
+    bounds: dict[str, np.ndarray] = {}
 
     history: list[int] = []
     op_log: list[str] = []
@@ -198,18 +220,23 @@ def run_fis(instance: Instance, config: FISConfig | None = None) -> FISResult:
         iter_perm: tuple[int, ...] | None = None
         iter_obj = n + 1
         crossover = current_op == "crossover"
-        high = bounds[current_op]
-        for k, draws in enumerate(rng.integers(high, size=(size, len(high))).tolist()):
+        if current_op not in bounds:
+            row = ((size,) if crossover else ()) + _position_bounds(current_op, n)
+            bounds[current_op] = np.full((size, len(row)), row, np.int64)
+        draws = rng.integers(bounds[current_op])
+        mates = draws[:, 0].tolist() if crossover else None
+        i_all, j_all = _positions(current_op, draws[:, 1:] if crossover else draws)
+        for k, (i, j) in enumerate(zip(i_all.tolist(), j_all.tolist())):
             member, own = population[k], objectives[k]
-            mate = population[draws.pop(0)] if crossover else member
-            i, j = _positions(current_op, draws)
-            if not crossover and min(i, j) >= own:
+            mate = population[mates[k]] if crossover else member
+            if not crossover and (i if i < j else j) >= own:
                 # the move leaves the covering prefix, and so the objective, alone
                 if own < iter_obj:
                     iter_perm, iter_obj = move(current_op, member, mate, i, j), own
                 continue
             candidate = move(current_op, member, mate, i, j)
-            cand_obj = objective(instance, candidate)
+            # a prefix at or past both objectives changes neither
+            cand_obj = _prefix_within(masks, full, candidate, own if own > iter_obj else iter_obj)
             if cand_obj < iter_obj:
                 iter_perm, iter_obj = candidate, cand_obj
             if cand_obj < own:

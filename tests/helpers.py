@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from tsred import Instance, Solution, validate_instance
-from tsred.fuzzy import default_rule_base, infer
+from tsred.fuzzy import LinguisticVariable, Rule, RuleBase, Trapezoid, default_rule_base, infer
 
 
 def covers_naive(instance: Instance, selection) -> bool:
@@ -263,6 +263,18 @@ def fis_reference(instance: Instance, population_size=20, max_iterations=100, se
             others = [o for o in ops if o != op]
             op = others[int(rng.integers(len(others)))]
     return Solution(best_perm, best_obj, best_perm[:best_obj]), tuple(history), tuple(operators)
+
+
+DECISION = LinguisticVariable(
+    "decision", {"Change": Trapezoid(0, 0, 0.3, 0.5), "Maintain": Trapezoid(0.5, 0.7, 1, 1)}
+)
+
+
+def always_change() -> RuleBase:
+    """A rule base that concludes Change whatever the inputs, so the operator
+    switch draws one value after every iteration."""
+    anything = LinguisticVariable("quality", {"Any": Trapezoid(0, 0, 1, 1)})
+    return RuleBase({"quality": anything}, DECISION, (Rule.of({"quality": "Any"}, "Change"),))
 
 
 SA_BLOCK = 256  # swap-position pairs per rng.integers call, as in the annealer

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import prefix_length
 from tsred import (
     OPERATORS,
     FISConfig,
@@ -13,12 +14,14 @@ from tsred import (
     measure_intensification,
     measure_quality,
     run_fis,
+    validate_instance,
 )
 from tsred.fis import (
     MAX_EVALUATIONS,
     LengthMismatchError,
     _position_bounds,
     _positions,
+    _prefix_within,
     insert_at,
     move,
     order_crossover,
@@ -100,6 +103,12 @@ def test_order_crossover_identity_mate_keeps_permutation():
     assert order_crossover(p, p, 2, 4) == p
 
 
+def one_member(op, draws):
+    """`_positions` for a single member's draws, as two ints."""
+    i, j = _positions(op, np.array([draws], np.int64))
+    return int(i[0]), int(j[0])
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(OPERATORS), st.integers(2, 12), st.integers(0, 2**32 - 1), st.data())
 def test_move_preserves_permutation(op, n, seed, data):
@@ -108,8 +117,54 @@ def test_move_preserves_permutation(op, n, seed, data):
     p = tuple(int(v) for v in rng.permutation(n))
     mate = tuple(int(v) for v in rng.permutation(n))
     draws = [data.draw(st.integers(0, high - 1)) for high in _position_bounds(op, n)]
-    out = move(op, p, mate, *_positions(op, draws))
+    out = move(op, p, mate, *one_member(op, draws))
     assert sorted(out) == list(range(n))
+
+
+def scalar_positions(op, draws):
+    """One member's positions from its draws, written out one rule at a time."""
+    if not draws:
+        return 0, 0
+    i, j = draws
+    if op == "insertion":
+        return i, j
+    if j >= i:
+        j += 1  # j skips over i, so the two differ
+    if op == "swap":
+        return i, j
+    return (i, j) if i < j else (j, i)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(OPERATORS), st.integers(1, 12), st.integers(1, 8), st.data())
+def test_positions_equal_the_scalar_rule_row_by_row(op, n, members, data):
+    highs = _position_bounds(op, n)
+    rows = [[data.draw(st.integers(0, high - 1)) for high in highs] for _ in range(members)]
+    i, j = _positions(op, np.array(rows, np.int64))  # (members, 0) when n is 1
+    assert len(i) == len(j) == members
+    got = list(zip(i.tolist(), j.tolist()))
+    assert got == [scalar_positions(op, row) for row in rows]
+
+
+@st.composite
+def instances_with_permutations(draw):
+    """An instance of 1-8 tests and 0-6 requirements, and a permutation."""
+    n = draw(st.integers(1, 8))
+    tests = [f"t{k}" for k in range(n)]
+    candidates = st.lists(st.sampled_from(tests), min_size=1, max_size=n, unique=True)
+    requirements = [(f"r{i}", draw(candidates)) for i in range(draw(st.integers(0, 6)))]
+    instance = validate_instance("drawn", tests, requirements)
+    return instance, tuple(draw(st.permutations(range(n))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances_with_permutations())
+def test_prefix_within_is_the_prefix_length_capped_at_the_limit(case):
+    instance, p = case
+    length = prefix_length(instance)(p)
+    for limit in range(1, instance.n + 2):
+        got = _prefix_within(instance.test_masks, instance.full_mask, p, limit)
+        assert got == min(length, limit)
 
 
 @settings(max_examples=200, deadline=None)
@@ -129,12 +184,12 @@ def test_move_keeps_every_position_before_the_lowest_touched(op, data):
 def test_move_single_element_is_noop():
     for op in OPERATORS:
         assert _position_bounds(op, 1) == ()
-        assert move(op, (0,), (0,), *_positions(op, ())) == (0,)
+        assert move(op, (0,), (0,), *one_member(op, ())) == (0,)
 
 
 def test_move_unknown_name():
     with pytest.raises(ValueError):
-        move("shuffle", (0, 1), (0, 1), *_positions("shuffle", (1, 0)))
+        move("shuffle", (0, 1), (0, 1), *one_member("shuffle", (1, 0)))
 
 
 def _constant_rule_base(decision: str) -> RuleBase:

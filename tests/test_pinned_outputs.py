@@ -6,7 +6,11 @@ numpy that is installed, so they cannot notice a change in numpy's stream.
 These digests can: each is the SHA-256 of `repr(result)` for a bundled
 instance at seeds 1, 2 and 3 under the default settings.  The FIS digests
 predate the memoised `infer`; the SA digests are those of the annealer that
-draws its swap positions in blocks of `baselines.BLOCK` pairs.
+draws its swap positions in blocks of `baselines.BLOCK` pairs.  Under the
+default rule base a run keeps one operator for long stretches, so the FIS
+digests are pinned under `helpers.always_change()` as well, where every
+operator's batched position draw (crossover's with its mate column) runs on
+every instance.
 
 The report and summary digests pin the bytes a user sees: `write_report` of
 a two-run report at seed 3 for every (bundled instance, algorithm) pair,
@@ -17,6 +21,7 @@ import hashlib
 
 import pytest
 
+from helpers import always_change
 from tsred import (
     ALGORITHMS,
     FISConfig,
@@ -56,6 +61,34 @@ FIS_DIGESTS = {
         "71b8d11cc70deec3a3a28452c531b61fb46a77e7b12010aa22eeae411b12d958",
         "8bc032249cf89369b4424b64d0f132161b16191926550baed5aab38f3b3ab91b",
         "57ae34d57cce8466173a08aeb51677fb63491ab334fdb242e76eb1822c229a75",
+    ),
+}
+
+FIS_ALWAYS_CHANGE_DIGESTS = {
+    "experiment-1": (
+        "629fa1246e16ccf26e5633c58a16f21804a8225b4de4861a0c7c58a0bea6dcaf",
+        "c79365a41257ca910073206254bfe7c4d49c9cf133a40fff875288a5308ee63b",
+        "da0edafa44747b81300d2655fd026a9d72581550385f8d8b2a50ac07e2aceb7d",
+    ),
+    "experiment-2": (
+        "ac7f4a6f5b21918e9c9c33636bbf35c662e40390c865d568aa1373178862e93b",
+        "0489cc1e783986a3b4f0e45ed369f9e97bb87f3eafcd1a064181e89a36e8cfa9",
+        "72439d7caad1ac03e491de86bc9932b1fa9c80067e650d048d1bb37a71b2cbeb",
+    ),
+    "experiment-3": (
+        "f018be141d3b03a10f4e27f635d753b9119e0acdca59b948c165637d95b30c82",
+        "09b96a8b98d218ca4753e78ea89af4d57574e7d8b97188df8a52c29b61b457e3",
+        "f9c42e05f629c0b7eddaa8223299208a9e5299d38dcf780fe2a18599a175420c",
+    ),
+    "experiment-4": (
+        "e93e5d81ebd646499294313d087d7a4a5c3e4a82323ae3f8c47f66dd2beb6b58",
+        "1acd63c466a313510ce4b7b6b97e84db4dec0e2fbfc2caa6a4d8e36445bbdc96",
+        "23a4df2fb55b7170dad291b80934d3a842954e5c77b556d077e9f466b5231a9a",
+    ),
+    "experiment-5": (
+        "9d804ba479d9d78c1d45390a5b7ff0f6606639da6c2dc1bb5665ac290ab272ab",
+        "a82c4f54c0950b8b6dfd301df7f967e4d9ccc352f356f11dbc3a8189a681ec84",
+        "d7521891c73bba82132d20e4a165d0a4bcd6553eb2232b886c52290e3f73cb1a",
     ),
 }
 
@@ -137,6 +170,14 @@ def test_fis_outputs_are_pinned(name):
     instance = builtin(name)
     got = tuple(digest(run_fis(instance, FISConfig(seed=seed))) for seed in SEEDS)
     assert got == FIS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", FIS_ALWAYS_CHANGE_DIGESTS)
+def test_fis_outputs_under_always_change_are_pinned(name):
+    instance = builtin(name)
+    configs = (FISConfig(seed=seed, rule_base=always_change()) for seed in SEEDS)
+    got = tuple(digest(run_fis(instance, config)) for config in configs)
+    assert got == FIS_ALWAYS_CHANGE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", SA_DIGESTS)

@@ -1,7 +1,8 @@
 """FIS and SA against their plain-loop references in helpers.py.
 
-run_fis takes each iteration's position draws in one batched call and skips
-the evaluation of moves that leave the covering prefix alone; SA skips it for
+run_fis takes each iteration's position draws in one batched call, skips
+the evaluation of moves that leave the covering prefix alone and scans any
+other candidate's prefix only up to a bound; SA skips the evaluation of
 swaps past the prefix.  Neither may change a result: for a given seed the
 solution, the history and the operator log must equal those of the plain
 loops, which evaluate every candidate.  The FIS reference draws one scalar
@@ -13,7 +14,7 @@ import random
 
 import pytest
 
-from helpers import fis_reference, sa_reference
+from helpers import DECISION, always_change, fis_reference, sa_reference
 from tsred import FISConfig, SAParams, builtin, run_fis, simulated_annealing, validate_instance
 from tsred.corpus import builtin_names
 from tsred.fuzzy import LinguisticVariable, Rule, RuleBase, Trapezoid
@@ -36,18 +37,6 @@ EDGE = {
     "no-requirements": seeded_instance(3, 6, 0, 1),
     "wide-48x120": seeded_instance(4, 48, 120, 6),  # masks wider than 64 bits
 }
-
-
-DECISION = LinguisticVariable(
-    "decision", {"Change": Trapezoid(0, 0, 0.3, 0.5), "Maintain": Trapezoid(0.5, 0.7, 1, 1)}
-)
-
-
-def always_change() -> RuleBase:
-    """A rule base that concludes Change whatever the inputs, so the operator
-    switch draws one value after every iteration."""
-    anything = LinguisticVariable("quality", {"Any": Trapezoid(0, 0, 1, 1)})
-    return RuleBase({"quality": anything}, DECISION, (Rule.of({"quality": "Any"}, "Change"),))
 
 
 def change_when_worse() -> RuleBase:
@@ -113,7 +102,7 @@ def test_fis_matches_reference_when_every_iteration_switches(name):
         assert_fis_matches(instance, config)
 
 
-@pytest.mark.parametrize("name", ["experiment-4", "experiment-5", "wide-48x120"])
+@pytest.mark.parametrize("name", ["experiment-4", "experiment-5", *EDGE])
 def test_fis_matches_reference_when_switching_on_worse_iterations(name):
     instance = EDGE[name] if name in EDGE else builtin(name)
     for seed in range(1, 6):
