@@ -47,7 +47,6 @@ from .io import (
     ParseError,
     RunReport,
     RunResult,
-    load_rule_base,
     parse_instance,
     parse_report,
     rule_base_from_json,
@@ -99,7 +98,6 @@ __all__ = [
     "infer",
     "instance_violations",
     "is_cover",
-    "load_rule_base",
     "measure_diversification",
     "measure_intensification",
     "measure_quality",

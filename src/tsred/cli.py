@@ -7,18 +7,19 @@ Exit codes: 0 success (or VALID), 1 INVALID selection, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import os
 import sys
 from pathlib import Path
 
 from .baselines import SAParams
-from .bench import ALGORITHMS, bench_suite, check_runs, render_tables, solve_report, summary_json
+from .bench import ALGORITHMS, bench_suite, render_tables, solve_report, summary_json
 from .core import Instance, InvalidInstanceError, ParameterError, is_cover, reduction_percent
-from .corpus import UnknownBenchmarkError, builtin_names, builtin_document
+from .corpus import UnknownBenchmarkError, builtin, builtin_names
 from .fis import FISConfig
 from .fuzzy import RuleBase
-from .io import ParseError, load_rule_base, parse_instance, write_report
+from .io import ParseError, parse_instance, rule_base_from_json, write_report
 from .oracle import TooLargeError, enumerate_minimum_covers, minimum_cover
 
 EXIT_OK = 0
@@ -40,7 +41,7 @@ class _UsageError(Exception):
 def _load_instance(source: str) -> Instance:
     try:
         if source.startswith("builtin:"):
-            return builtin_document(source[len("builtin:") :]).to_instance()
+            return builtin(source[len("builtin:") :])
         return parse_instance(Path(source).read_bytes()).to_instance()
     except UnknownBenchmarkError as exc:
         raise _InstanceError(f"{exc} (available: {', '.join(builtin_names())})") from exc
@@ -55,21 +56,23 @@ def _rule_base_from_env() -> RuleBase | None:
     if not path:
         return None
     try:
-        return load_rule_base(path)
+        return rule_base_from_json(Path(path).read_bytes())
     except (OSError, ValueError) as exc:
         raise _UsageError(f"bad {RULEBASE_ENV}: {exc}") from exc
 
 
 def _check_output(output: str | None) -> None:
-    """Refuse an `output` path that cannot be written before any solver runs.
-
-    Opening for appending creates a missing file but leaves an existing one
-    as it is until `_emit` replaces it.
-    """
+    """Refuse an `output` path that cannot be written before any solver runs,
+    leaving the path as it was: opening for appending changes no existing
+    file, and one it creates (through a symlink too) is removed again.
+    `_emit` writes the result."""
     if output:
         try:
+            existed = os.path.exists(output)
             with open(output, "a"):
                 pass
+            if not existed:
+                os.remove(os.path.realpath(output))
         except OSError as exc:
             raise _UsageError(f"cannot write output: {exc}") from exc
 
@@ -92,7 +95,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         rule_base=_rule_base_from_env(),
     )
     sa_params = SAParams(alpha=args.alpha, t_initial=args.t_initial)
-    check_runs(args.seed, args.runs)
     _check_output(args.output)
     report = solve_report(
         instance,
@@ -150,7 +152,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     fis_config = FISConfig(rule_base=_rule_base_from_env())
-    check_runs(args.seed, args.runs)
     _check_output(args.output)
     summary = bench_suite(runs=args.runs, seed=args.seed, fis_config=fis_config)
     sys.stdout.write(render_tables(summary))
@@ -164,7 +165,10 @@ def _default(function, name: str):
     return inspect.signature(function).parameters[name].default
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it holds only constants and the
+    `_cmd_*` functions, which look up the library when they run."""
     parser = argparse.ArgumentParser(
         prog="tsred", description="Test redundancy reduction toolkit."
     )

@@ -10,6 +10,8 @@ fuzzy controller's rule base.
                 "output": {"name": ..., "terms": {term: [a, b, c, d]}},
                 "rules": [{"if": {variable: term}, "then": term}], "samples": 1001}
 
+Every reader takes JSON text or UTF-8 bytes and every writer returns text;
+nothing here opens a file (the CLI reads and writes them).
 One strict reader parses all three: UTF-8 JSON in which every field has its
 JSON type (a boolean is not a number), else a ParseError naming the field.
 Semantic checks live in core.validate_instance and the fuzzy dataclasses.
@@ -287,8 +289,3 @@ def rule_base_from_json(data: str | bytes) -> RuleBase:
     rules = tuple(_rule(entry, f"rules[{i}]") for i, entry in enumerate(_field(raw, "rules", list)))
     samples = _typed(raw.get("samples", RuleBase.samples), int, "samples")
     return RuleBase(inputs, output, rules, samples)
-
-
-def load_rule_base(path: str) -> RuleBase:
-    with open(path, "rb") as fh:
-        return rule_base_from_json(fh.read())

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import json
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from tsred import cli, parse_report, write_instance
+from tsred import builtin, cli, parse_report, solve_report, write_instance
 from tsred.cli import main
 from tsred.corpus import builtin_document
 
@@ -103,6 +104,42 @@ def test_refused_setting_leaves_no_output_file(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert not target.exists()
+    link = tmp_path / "link.json"  # a symlink to a missing file
+    link.symlink_to(target)
+    assert run_cli(capsys, *argv, "--output", str(link))[:2] == (2, "")
+    assert link.is_symlink() and not target.exists()
+    target.write_bytes(b'{"kept": true}\n')  # an existing file keeps its bytes
+    assert run_cli(capsys, *argv, "--output", str(target))[:2] == (2, "")
+    assert target.read_bytes() == b'{"kept": true}\n'
+
+
+def stub_solver(monkeypatch, name, failure):
+    @functools.wraps(getattr(cli, name))  # the parser reads its defaults
+    def failing(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(cli, name, failing)
+
+
+@pytest.mark.parametrize("before", [None, b'{"kept": true}\n'], ids=["missing", "existing"])
+@pytest.mark.parametrize(
+    "failure", [KeyboardInterrupt(), RuntimeError("solver failed")], ids=["interrupt", "raise"]
+)
+@pytest.mark.parametrize(
+    "argv, solver",
+    [(("solve", "--instance", EXP1), "solve_report"), (("bench", "--runs", "1"), "bench_suite")],
+    ids=["solve", "bench"],
+)
+def test_failed_run_leaves_output_as_it_was(capsys, tmp_path, monkeypatch, argv, solver,
+                                            failure, before):
+    target = tmp_path / "out.json"
+    if before is not None:
+        target.write_bytes(before)
+    stub_solver(monkeypatch, solver, failure)
+    with pytest.raises(type(failure)):
+        main([*argv, "--output", str(target)])
+    capsys.readouterr()
+    assert (target.read_bytes() if target.exists() else None) == before
 
 
 # rule bases that parse as JSON but are refused: one over an input FIS does
@@ -184,12 +221,7 @@ def test_structurally_invalid_file_is_instance_error(capsys, tmp_path):
 )
 def test_file_error_is_reported(capsys, tmp_path, monkeypatch, argv, expected):
     for name in ("solve_report", "bench_suite"):
-
-        @functools.wraps(getattr(cli, name))  # the parser reads its defaults
-        def no_solver(*args, **kwargs):
-            raise AssertionError("a solver ran before the file error was found")
-
-        monkeypatch.setattr(cli, name, no_solver)
+        stub_solver(monkeypatch, name, AssertionError("a solver ran before the file error"))
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(json.dumps({"name": "caf\u00e9"}, ensure_ascii=False).encode("latin-1"))
     argv = [a.format(missing=tmp_path / "missing", latin1=latin1) for a in argv]
@@ -197,6 +229,7 @@ def test_file_error_is_reported(capsys, tmp_path, monkeypatch, argv, expected):
     assert code == expected
     assert out == ""  # refused before any solver runs or prints
     assert err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["latin1.json"]  # nothing created
 
 
 def write_doc(tmp_path, doc):
@@ -358,12 +391,44 @@ def test_bad_rulebase_env_is_usage_error(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "solve", "--instance", EXP1, "--algorithm", "fis")
     assert code == 2
 
+    monkeypatch.setenv("TSRED_RULEBASE", str(tmp_path))  # a directory
+    code, _, err = run_cli(capsys, "solve", "--instance", EXP1, "--algorithm", "fis")
+    assert code == 2
+    assert "TSRED_RULEBASE" in err
+
     path.write_text('{"variables": [], "output": {}, "rules": []}')
     monkeypatch.setenv("TSRED_RULEBASE", str(path))
     code, out, err = run_cli(capsys, "bench", "--runs", "1")
     assert code == 2
     assert out == ""
     assert "variables: expected an object" in err
+
+
+def test_parser_reuse_does_not_leak_flags(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "tsred":  # the top-level parser, not a subcommand's
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    first = run_cli(capsys, "solve", "--instance", EXP1, "--algorithm", "sa",
+                    "--alpha", "0.5", "--runs", "2")
+    second = run_cli(capsys, "solve", "--instance", EXP1, "--algorithm", "sa")
+    assert first[0] == second[0] == 0
+    assert len(parse_report(first[1]).runs) == 2
+    report = parse_report(second[1])
+    expected = solve_report(builtin("experiment-1"), "sa", seed=0, runs=1)
+    assert len(report.runs) == 1
+    assert report.runs[0].selected == expected.runs[0].selected
+    assert len(built) == 1
+
+
+def test_builtin_instance_is_the_cached_one():
+    assert cli._load_instance(EXP1) is builtin("experiment-1")
 
 
 def test_console_entry_point_subprocess():
