@@ -3,7 +3,7 @@ exercises every requirement.
 
 The package bundles five benchmark instances, a fuzzy-controlled search
 (`run_fis`), greedy and annealing baselines, an exact branch-and-bound
-oracle for small instances, and a benchmark harness with a CLI.
+oracle bounded by the nodes it visits, and a benchmark harness with a CLI.
 """
 
 from .baselines import SAParams, SAResult, greedy_ge, greedy_gre, hgs, simulated_annealing
@@ -53,7 +53,7 @@ from .io import (
     write_instance,
     write_report,
 )
-from .oracle import OracleResult, TooLargeError, enumerate_minimum_covers, minimum_cover
+from .oracle import OracleResult, enumerate_minimum_covers, minimum_cover
 
 __version__ = "0.1.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "SAParams",
     "SAResult",
     "Solution",
-    "TooLargeError",
     "Trapezoid",
     "UnknownBenchmarkError",
     "Violation",

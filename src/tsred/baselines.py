@@ -107,7 +107,7 @@ MAX_STEPS = 1_000_000  # most temperature steps one annealing run may take
 BLOCK = 256  # swap-position pairs drawn per rng.integers call
 
 
-@dataclass
+@dataclass(frozen=True)
 class SAParams:
     alpha: float = 0.990
     t_initial: float = 2984.975

@@ -20,7 +20,7 @@ from .corpus import UnknownBenchmarkError, builtin, builtin_names
 from .fis import FISConfig
 from .fuzzy import RuleBase
 from .io import ParseError, parse_instance, rule_base_from_json, write_report
-from .oracle import TooLargeError, enumerate_minimum_covers, minimum_cover
+from .oracle import enumerate_minimum_covers, minimum_cover
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -112,21 +112,21 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     if args.cap < 1:  # refused even without --enumerate, the one mode that reads it
         raise ParameterError("cap must be positive")
-    try:
-        if args.enumerate:
-            result = enumerate_minimum_covers(instance, cap=args.cap)
-        else:
-            result = minimum_cover(instance)
-    except TooLargeError as exc:
-        raise _InstanceError(str(exc)) from exc
-    reduction = reduction_percent(instance.n, result.minimum_size)
+    if args.enumerate:
+        result = enumerate_minimum_covers(instance, cap=args.cap)
+    else:
+        result = minimum_cover(instance)
+    size = result.minimum_size
+    if not result.complete and result.covers is None:  # stopped before k was proven minimal
+        size = f"at most {size} (search stopped at the node limit)"
     print(f"instance: {instance.name}")
-    print(f"minimum size: {result.minimum_size}")
-    print(f"reduction: {reduction}%")
+    print(f"minimum size: {size}")
+    print(f"reduction: {reduction_percent(instance.n, result.minimum_size)}%")
     print(f"witness: {', '.join(instance.ids(sorted(result.witness)))}")
     print(f"nodes: {result.nodes}")
     if result.covers is not None:
-        suffix = "" if result.complete else f" (stopped at cap {args.cap})"
+        cause = f"cap {args.cap}" if len(result.covers) >= args.cap else "the node limit"
+        suffix = "" if result.complete else f" (stopped at {cause})"
         print(f"minimum covers: {len(result.covers)}{suffix}")
         for cover in result.covers:
             print("  " + ", ".join(instance.ids(sorted(cover))))

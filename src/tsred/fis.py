@@ -165,7 +165,7 @@ def _prefix_within(masks: Sequence[int], full: int, p: Sequence[int], limit: int
     return limit
 
 
-@dataclass
+@dataclass(frozen=True)
 class FISConfig:
     population_size: int = 20
     max_iterations: int = 100

@@ -1,8 +1,8 @@
 """Exact minimum-cover oracle.
 
-Branch and bound over bitsets.  Intended for the bundled benchmark sizes
-(a few dozen tests); anything beyond 64 tests is rejected outright rather
-than silently taking forever.
+Branch and bound over bitsets, bounded by the nodes it visits rather than by
+instance size: a search past `MAX_NODES` nodes stops with `complete=False`,
+and a stopped `minimum_cover` keeps the best cover found, an upper bound.
 
 The search branches on requirements in their own numbering, but prunes with
 a packing bound taken over the requirements in ascending order of candidate
@@ -20,12 +20,8 @@ from dataclasses import dataclass
 
 from .core import Instance, ParameterError, bits, essential_tests, greedy_fill, undominated
 
-MAX_TESTS = 64
+MAX_NODES = 1_000_000  # most branch-and-bound nodes one search may visit
 _INF = 1 << 30
-
-
-class TooLargeError(ValueError):
-    """Instance exceeds the size this oracle is willing to attempt."""
 
 
 @dataclass(frozen=True)
@@ -33,7 +29,7 @@ class OracleResult:
     minimum_size: int
     witness: frozenset[int]
     covers: tuple[frozenset[int], ...] | None = None
-    complete: bool = True  # False if enumeration stopped at the cap
+    complete: bool = True  # False if stopped at MAX_NODES, or enumeration at the cap
     nodes: int = 0  # branch-and-bound nodes visited; for enumeration, its own search only
 
 
@@ -126,17 +122,20 @@ def _search(
     `chosen`.
 
     `leaf(chosen)` is called on each such cover and returns the new limit;
-    a negative limit ends the search.  Returns the limit in force on exit
-    and the number of nodes visited.
+    a negative limit ends the search, as do more than `MAX_NODES` nodes.
+    Returns the limit in force on exit and the number of nodes visited.
     """
     masks = instance.test_masks
     req_masks = instance.candidate_masks
     nodes = 0
+    max_nodes = MAX_NODES
 
     def visit(uncovered: int, uncovered_b: int, allowed: int, limit: int) -> int:
         # uncovered_b: the same requirements in the numbering of the bound
         nonlocal nodes
         nodes += 1
+        if nodes > max_nodes:
+            return -1
         if not uncovered:
             # a sibling may have tightened the limit since this branch began
             return leaf(chosen) if len(chosen) <= limit else limit
@@ -165,9 +164,7 @@ def _search(
 
 
 def minimum_cover(instance: Instance) -> OracleResult:
-    """Size and one witness of a minimum cover."""
-    if instance.n > MAX_TESTS:
-        raise TooLargeError(f"{instance.n} tests exceeds the oracle limit of {MAX_TESTS}")
+    """Size and one witness of a minimum cover, or of the best found by `MAX_NODES`."""
     forced, uncovered, allowed = _reduce(instance, drop_tests=True)
     best = set(greedy_fill(instance.test_masks, uncovered, allowed)) | forced  # upper bound to beat
 
@@ -177,14 +174,18 @@ def minimum_cover(instance: Instance) -> OracleResult:
         return len(best) - 1
 
     _, nodes = _search(instance, uncovered, forced, allowed, len(best) - 1, improve)
-    return OracleResult(minimum_size=len(best), witness=frozenset(best), nodes=nodes)
+    return OracleResult(len(best), frozenset(best), complete=nodes <= MAX_NODES, nodes=nodes)
 
 
 def enumerate_minimum_covers(instance: Instance, cap: int = 1000) -> OracleResult:
-    """All minimum covers, lexicographically sorted, up to `cap` of them."""
+    """All minimum covers, lexicographically sorted, up to `cap` of them; if
+    `minimum_cover` stops at `MAX_NODES`, its result: k is unproven, so no covers."""
     if cap < 1:
         raise ParameterError("cap must be positive")
-    k = minimum_cover(instance).minimum_size
+    best = minimum_cover(instance)
+    if not best.complete:
+        return best
+    k = best.minimum_size
     forced, uncovered, allowed = _reduce(instance, drop_tests=False)
     found: list[tuple[int, ...]] = []
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -213,6 +214,18 @@ def test_solve_report_runs_given_configs_at_run_seeds():
         want_sa = simulated_annealing(inst, SAParams(alpha=0.9, t_initial=50.0, seed=7 + k))
         assert fis.runs[k].selected == ids(inst, want_fis.solution.selected)
         assert sa.runs[k].selected == ids(inst, want_sa.solution.selected)
+
+
+@pytest.mark.parametrize(
+    "config, field, value", [(FISConfig(), "max_iterations", 10**9), (SAParams(), "alpha", 1.0)]
+)
+def test_solver_configs_refuse_assignment(config, field, value):
+    # a config is checked when it is built, so a later assignment could skip the check
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, field, value)
+    # replace builds a new config, which is checked again
+    with pytest.raises(ParameterError):
+        dataclasses.replace(config, **{field: value})
 
 
 def test_run_algorithm_looks_reducers_up_at_call_time(monkeypatch):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from tsred import builtin, cli, parse_report, solve_report, write_instance
+from tsred import builtin, cli, oracle, parse_report, solve_report, write_instance
 from tsred.cli import main
 from tsred.corpus import builtin_document
 
@@ -303,6 +303,39 @@ def test_oracle_enumerate_lists_covers(capsys):
     assert "\nnodes: 11\n" in out  # the enumeration's own search
     assert "t1, t2, t4" in out
     assert "t2, t4, t7" in out
+
+
+def test_oracle_enumerate_names_the_cap(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--instance", EXP1, "--enumerate", "--cap", "1")
+    assert code == 0
+    assert "minimum covers: 1 (stopped at cap 1)\n" in out
+
+
+def test_oracle_solves_more_than_64_tests(capsys, tmp_path):
+    tests = [f"t{j}" for j in range(65)]
+    doc = {"name": "wide", "tests": tests, "requirements": [{"id": "r1", "candidates": tests}]}
+    code, out, err = run_cli(capsys, "oracle", "--instance", write_doc(tmp_path, doc))
+    assert (code, err) == (0, "")
+    assert "minimum size: 1\n" in out
+
+
+def test_oracle_stopped_at_node_limit_gives_upper_bound(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_NODES", 4)  # experiment-3's search takes 5
+    for extra in ([], ["--enumerate"]):
+        code, out, _ = run_cli(capsys, "oracle", "--instance", "builtin:experiment-3", *extra)
+        assert code == 0
+        assert "minimum size: at most 3 (search stopped at the node limit)\n" in out
+        # no covers are listed against a size that was never proven minimal
+        assert "minimum covers" not in out
+
+
+def test_oracle_enumerate_stopped_at_node_limit_does_not_blame_cap(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_NODES", 50)  # experiment-4's enumeration takes 170
+    code, out, _ = run_cli(capsys, "oracle", "--instance", "builtin:experiment-4", "--enumerate")
+    assert code == 0
+    assert "minimum size: 11\n" in out
+    assert "minimum covers: 2 (stopped at the node limit)\n" in out
+    assert "cap" not in out
 
 
 def test_validate_valid_selection(capsys):

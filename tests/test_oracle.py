@@ -14,7 +14,8 @@ from tsred import (
     minimum_cover,
     validate_instance,
 )
-from tsred.oracle import MAX_TESTS, TooLargeError, _bound_space, _lower_bound, _reduce
+from tsred import oracle
+from tsred.oracle import _bound_space, _lower_bound, _reduce
 
 # frozen exact minima for the two larger benchmarks
 EXP4_MINIMUM = 11
@@ -158,15 +159,55 @@ def test_covers_are_sorted_lexicographically():
     assert covers == sorted(covers)
 
 
-def test_too_large_instance_is_rejected():
-    n = MAX_TESTS + 1
-    inst = validate_instance(
-        "big", [f"t{j}" for j in range(n)], [("r1", [f"t{j}" for j in range(n)])]
+def odd_cycle(n: int):
+    """Requirement i needs test i or test i+1 (mod n): for odd n the minimum
+    covers are the n sets of (n+1)/2 tests that leave no two neighbours out."""
+    tests = [f"t{j}" for j in range(n)]
+    return validate_instance(
+        f"cycle-{n}", tests, [(f"r{i}", [tests[i], tests[(i + 1) % n]]) for i in range(n)]
     )
-    with pytest.raises(TooLargeError):
-        minimum_cover(inst)
-    with pytest.raises(TooLargeError):
-        enumerate_minimum_covers(inst)
+
+
+def test_more_than_64_tests_solved_exactly():
+    n = 65
+    inst = odd_cycle(n)
+    best = minimum_cover(inst)
+    assert best.complete
+    assert best.minimum_size == (n + 1) // 2
+    assert covers_naive(inst, best.witness)
+    res = enumerate_minimum_covers(inst)
+    assert res.complete
+    assert len(res.covers) == n
+    for cover in res.covers:
+        assert len(cover) == (n + 1) // 2
+        assert covers_naive(inst, cover)
+
+
+def test_search_stops_at_node_limit(monkeypatch):
+    inst = sparse_instance(3)
+    k = minimum_cover(inst).minimum_size
+    monkeypatch.setattr(oracle, "MAX_NODES", 5)
+    best = minimum_cover(inst)
+    assert not best.complete
+    assert best.nodes > 5
+    assert covers_naive(inst, best.witness)
+    assert best.minimum_size == len(best.witness) >= k
+    # no covers are listed against a size that was never proven minimal
+    assert enumerate_minimum_covers(inst) == best
+
+
+def test_enumeration_stops_at_node_limit(monkeypatch):
+    inst = builtin("experiment-4")  # minimum_cover takes 1 node, enumeration 170
+    full = enumerate_minimum_covers(inst)
+    monkeypatch.setattr(oracle, "MAX_NODES", full.nodes)
+    assert enumerate_minimum_covers(inst) == full
+    monkeypatch.setattr(oracle, "MAX_NODES", full.nodes - 1)  # one node short
+    assert not enumerate_minimum_covers(inst).complete
+    monkeypatch.setattr(oracle, "MAX_NODES", 50)
+    res = enumerate_minimum_covers(inst)
+    assert res.minimum_size == EXP4_MINIMUM
+    assert not res.complete
+    assert set(res.covers) < set(full.covers)
 
 
 @settings(max_examples=200, deadline=None)
@@ -207,11 +248,12 @@ def test_root_bound_never_exceeds_minimum(seed):
         assert len(forced) + _lower_bound(req_b, renumbered(uncovered), allowed) <= k
 
 
-def sparse_instance(seed: int):
-    """20-64 tests, n to 2n requirements of 2-6 candidates each: too many
-    tests for brute force, sparse enough that the search does real work."""
+def sparse_instance(seed: int, size: tuple[int, int] = (20, 64)):
+    """n tests, n within `size` (20-64 by default), n to 2n requirements of 2-6
+    candidates each: too many tests for brute force, sparse enough that the
+    search does real work."""
     rng = random.Random(seed)
-    n = rng.randint(20, 64)
+    n = rng.randint(*size)
     tests = [f"t{j}" for j in range(n)]
     requirements = [
         (f"r{i}", rng.sample(tests, rng.randint(2, 6))) for i in range(rng.randint(n, 2 * n))
@@ -239,12 +281,11 @@ def test_minimum_and_enumeration_agree_beyond_brute_force(seed):
         assert best.witness in res.covers
 
 
-@pytest.mark.parametrize("seed", range(24))
-def test_minimum_matches_integer_program(seed):
+def ilp_minimum(inst) -> int:
+    """Minimum cover size by scipy's integer program solver (HiGHS)."""
     milp = pytest.importorskip("scipy.optimize").milp
     from scipy.optimize import Bounds, LinearConstraint
 
-    inst = sparse_instance(seed)
     rows = np.zeros((inst.m, inst.n))
     for i, req in enumerate(inst.requirements):
         rows[i, list(req.candidates)] = 1
@@ -255,4 +296,18 @@ def test_minimum_matches_integer_program(seed):
         bounds=Bounds(0, 1),
     )
     assert ilp.success
-    assert minimum_cover(inst).minimum_size == round(ilp.fun)
+    return round(ilp.fun)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_minimum_matches_integer_program(seed):
+    inst = sparse_instance(seed)
+    assert minimum_cover(inst).minimum_size == ilp_minimum(inst)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_minimum_matches_integer_program_beyond_64_tests(seed):
+    inst = sparse_instance(seed, size=(65, 72))
+    best = minimum_cover(inst)
+    assert best.complete
+    assert best.minimum_size == ilp_minimum(inst)
