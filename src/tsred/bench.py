@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .baselines import SAParams, greedy_ge, greedy_gre, hgs, simulated_annealing
-from .core import ALGORITHMS, Instance, ParameterError, is_cover, reduction_percent
+from .core import ALGORITHMS, Instance, ParameterError, is_cover
 from .corpus import builtin, builtin_names
 from .fis import FISConfig, run_fis
 from .io import RunReport, RunResult, write_json
@@ -137,7 +137,7 @@ def bench_suite(
                     sizes=sizes,
                     mean_size=statistics.fmean(sizes),
                     stddev_size=statistics.pstdev(sizes),
-                    reduction_text=reduction_percent(inst.n, report.best_size),
+                    reduction_text=report.reduction,
                     mean_millis=round(statistics.fmean(r.millis for r in report.runs), 3),
                 )
             )

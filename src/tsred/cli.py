@@ -13,6 +13,7 @@ import os
 import sys
 from pathlib import Path
 
+from . import oracle
 from .baselines import SAParams
 from .bench import ALGORITHMS, bench_suite, render_tables, solve_report, summary_json
 from .core import Instance, InvalidInstanceError, ParameterError, is_cover, reduction_percent
@@ -125,7 +126,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     print(f"witness: {', '.join(instance.ids(sorted(result.witness)))}")
     print(f"nodes: {result.nodes}")
     if result.covers is not None:
-        cause = f"cap {args.cap}" if len(result.covers) >= args.cap else "the node limit"
+        cause = "the node limit" if result.nodes > oracle.MAX_NODES else f"cap {args.cap}"
         suffix = "" if result.complete else f" (stopped at {cause})"
         print(f"minimum covers: {len(result.covers)}{suffix}")
         for cover in result.covers:

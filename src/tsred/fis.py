@@ -15,15 +15,12 @@ into force), which yields the same values as drawing them one at a time,
 member by member; `_positions` turns the draws into every member's move
 positions at once.  A move whose lowest touched position lies at or past the
 member's covering prefix cannot change that prefix, so it is not
-re-evaluated: its objective is the member's own.  Any other candidate's
-prefix is scanned only up to the larger of the member's objective and the
-iteration's best so far, since a longer prefix changes neither.
+re-evaluated: its objective is the member's own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from operator import ne
 from typing import Sequence
 
@@ -150,21 +147,6 @@ def _positions(op: str, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (i, j) if op == "swap" else (np.minimum(i, j), np.maximum(i, j))
 
 
-def _prefix_within(masks: Sequence[int], full: int, p: Sequence[int], limit: int) -> int:
-    """min(objective, limit) for permutation p, given the instance's
-    `test_masks` and `full_mask`: the scan stops after `limit` positions."""
-    if not full:
-        return 0
-    covered = 0
-    # islice, not p[:limit]: short slices would collect in CPython's tuple
-    # free lists and raise peak memory
-    for pos, j in enumerate(islice(p, limit)):
-        covered |= masks[j]
-        if covered == full:
-            return pos + 1
-    return limit
-
-
 @dataclass(frozen=True)
 class FISConfig:
     population_size: int = 20
@@ -207,7 +189,6 @@ def run_fis(instance: Instance, config: FISConfig | None = None) -> FISResult:
     best_idx = min(range(len(population)), key=objectives.__getitem__)
     best_perm, best_obj = population[best_idx], objectives[best_idx]
     current_op = OPERATORS[int(rng.integers(len(OPERATORS)))]
-    masks, full = instance.test_masks, instance.full_mask
     # Per operator, the bounds of every member's draws (crossover's mate
     # draw, then the move's position draws), one row per member.
     bounds: dict[str, np.ndarray] = {}
@@ -235,8 +216,7 @@ def run_fis(instance: Instance, config: FISConfig | None = None) -> FISResult:
                     iter_perm, iter_obj = move(current_op, member, mate, i, j), own
                 continue
             candidate = move(current_op, member, mate, i, j)
-            # a prefix at or past both objectives changes neither
-            cand_obj = _prefix_within(masks, full, candidate, own if own > iter_obj else iter_obj)
+            cand_obj = objective(instance, candidate)
             if cand_obj < iter_obj:
                 iter_perm, iter_obj = candidate, cand_obj
             if cand_obj < own:

@@ -29,7 +29,7 @@ class OracleResult:
     minimum_size: int
     witness: frozenset[int]
     covers: tuple[frozenset[int], ...] | None = None
-    complete: bool = True  # False if stopped at MAX_NODES, or enumeration at the cap
+    complete: bool = True  # False if stopped at MAX_NODES, or enumeration past the cap
     nodes: int = 0  # branch-and-bound nodes visited; for enumeration, its own search only
 
 
@@ -122,7 +122,7 @@ def _search(
     `chosen`.
 
     `leaf(chosen)` is called on each such cover and returns the new limit;
-    a negative limit ends the search, as do more than `MAX_NODES` nodes.
+    a negative limit ends the search at once, as do more than `MAX_NODES` nodes.
     Returns the limit in force on exit and the number of nodes visited.
     """
     masks = instance.test_masks
@@ -152,6 +152,8 @@ def _search(
                 uncovered & ~masks[t], uncovered_b & ~masks_b[t], allowed & ~banned, limit
             )
             chosen.remove(t)
+            if limit < 0:  # the search has stopped: visit no sibling
+                return limit
             banned |= 1 << t  # later branches must cover i without t
         return limit
 
@@ -190,12 +192,13 @@ def enumerate_minimum_covers(instance: Instance, cap: int = 1000) -> OracleResul
     found: list[tuple[int, ...]] = []
 
     def record(chosen: set[int]) -> int:
-        # no cover is smaller than k, so every leaf within the limit has size k
+        # no cover is smaller than k, so every leaf within the limit has size k;
+        # one cover past the cap shows that the first cap are not all
         found.append(tuple(sorted(chosen)))
-        return -1 if len(found) >= cap else k
+        return -1 if len(found) > cap else k
 
     limit, nodes = _search(instance, uncovered, forced, allowed, k, record)
-    covers = tuple(frozenset(c) for c in sorted(found))
+    covers = tuple(frozenset(c) for c in sorted(found[:cap]))
     return OracleResult(
         minimum_size=k,
         witness=covers[0] if covers else frozenset(),

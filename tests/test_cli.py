@@ -309,6 +309,11 @@ def test_oracle_enumerate_names_the_cap(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--instance", EXP1, "--enumerate", "--cap", "1")
     assert code == 0
     assert "minimum covers: 1 (stopped at cap 1)\n" in out
+    assert "\nnodes: 9\n" in out  # up to the second cover, which passes the cap
+    # experiment-1 has exactly two minimum covers, so a cap of 2 lists them all
+    code, out, _ = run_cli(capsys, "oracle", "--instance", EXP1, "--enumerate", "--cap", "2")
+    assert code == 0
+    assert "minimum covers: 2\n" in out
 
 
 def test_oracle_solves_more_than_64_tests(capsys, tmp_path):

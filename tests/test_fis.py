@@ -13,6 +13,7 @@ from tsred import (
     measure_diversification,
     measure_intensification,
     measure_quality,
+    objective,
     run_fis,
     validate_instance,
 )
@@ -21,7 +22,6 @@ from tsred.fis import (
     LengthMismatchError,
     _position_bounds,
     _positions,
-    _prefix_within,
     insert_at,
     move,
     order_crossover,
@@ -159,12 +159,9 @@ def instances_with_permutations(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(instances_with_permutations())
-def test_prefix_within_is_the_prefix_length_capped_at_the_limit(case):
+def test_objective_is_the_prefix_length(case):
     instance, p = case
-    length = prefix_length(instance)(p)
-    for limit in range(1, instance.n + 2):
-        got = _prefix_within(instance.test_masks, instance.full_mask, p, limit)
-        assert got == min(length, limit)
+    assert objective(instance, p) == prefix_length(instance)(p)
 
 
 @settings(max_examples=200, deadline=None)

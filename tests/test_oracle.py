@@ -149,6 +149,11 @@ def test_enumeration_cap():
     full = enumerate_minimum_covers(inst, cap=1000)
     assert len(full.covers) == 6
     assert full.complete
+    # exactly cap covers is complete; a smaller cap stops with that many
+    assert enumerate_minimum_covers(inst, cap=6) == full
+    short = enumerate_minimum_covers(inst, cap=5)
+    assert len(short.covers) == 5
+    assert not short.complete
     with pytest.raises(ValueError):
         enumerate_minimum_covers(inst, cap=0)
 
@@ -189,7 +194,7 @@ def test_search_stops_at_node_limit(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_NODES", 5)
     best = minimum_cover(inst)
     assert not best.complete
-    assert best.nodes > 5
+    assert best.nodes == 6  # the node past the limit, and no sibling after it
     assert covers_naive(inst, best.witness)
     assert best.minimum_size == len(best.witness) >= k
     # no covers are listed against a size that was never proven minimal
