@@ -7,7 +7,7 @@ oracle bounded by the nodes it visits, and a benchmark harness with a CLI.
 """
 
 from .baselines import SAParams, SAResult, greedy_ge, greedy_gre, hgs, simulated_annealing
-from .bench import ALGORITHMS, BenchCell, BenchSummary, bench_suite, render_tables, solve_report
+from .bench import ALGORITHMS, BenchSummary, bench_suite, render_tables, solve_report
 from .core import (
     Instance,
     InvalidInstanceError,
@@ -59,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS",
-    "BenchCell",
     "BenchSummary",
     "FISConfig",
     "FISResult",

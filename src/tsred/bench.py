@@ -91,25 +91,14 @@ def solve_report(
 
 
 @dataclass(frozen=True)
-class BenchCell:
-    instance: str
-    algorithm: str
-    best_size: int
-    best_selected: tuple[str, ...]
-    sizes: tuple[int, ...]
-    mean_size: float
-    stddev_size: float
-    reduction_text: str
-    mean_millis: float
-
-
-@dataclass(frozen=True)
 class BenchSummary:
-    suite: tuple[str, ...]
+    """One sweep: the exact minimum of each instance, in suite order, and one
+    RunReport per instance x algorithm, in table order."""
+
     runs: int
     seed: int
     oracle_minimum: dict[str, int]
-    cells: tuple[BenchCell, ...]
+    reports: tuple[RunReport, ...]
 
 
 def bench_suite(
@@ -118,82 +107,70 @@ def bench_suite(
     """Full sweep: every algorithm on every bundled instance, plus the exact
     minimum for reference.  FIS runs with `fis_config`, as in solve_report."""
     check_runs(seed, runs)
-    names = builtin_names()
-    cells = []
     minima: dict[str, int] = {}
-    for name in names:
+    reports = []
+    for name in builtin_names():
         inst = builtin(name)
         minima[name] = minimum_cover(inst).minimum_size
         for algorithm in ALGORITHMS:
-            report = solve_report(inst, algorithm, seed=seed, runs=runs, fis_config=fis_config)
-            sizes = tuple(r.size for r in report.runs)
-            best = min(report.runs, key=lambda r: r.size)
-            cells.append(
-                BenchCell(
-                    instance=name,
-                    algorithm=algorithm,
-                    best_size=report.best_size,
-                    best_selected=best.selected,
-                    sizes=sizes,
-                    mean_size=statistics.fmean(sizes),
-                    stddev_size=statistics.pstdev(sizes),
-                    reduction_text=report.reduction,
-                    mean_millis=round(statistics.fmean(r.millis for r in report.runs), 3),
-                )
+            reports.append(
+                solve_report(inst, algorithm, seed=seed, runs=runs, fis_config=fis_config)
             )
-    return BenchSummary(
-        suite=tuple(names), runs=runs, seed=seed, oracle_minimum=minima, cells=tuple(cells)
-    )
+    return BenchSummary(runs=runs, seed=seed, oracle_minimum=minima, reports=tuple(reports))
 
 
 def render_tables(summary: BenchSummary) -> str:
     """Human-readable tables: best sizes with reduction percentages, then
     mean +/- stddev with mean runtimes."""
-    by_key = {(c.instance, c.algorithm): c for c in summary.cells}
+    by_key = {(r.instance, r.algorithm): r for r in summary.reports}
     lines = []
     header = f"{'instance':<14}" + "".join(f"{a:>12}" for a in ALGORITHMS) + f"{'exact':>12}"
     lines.append(f"best reduced size over {summary.runs} runs (seed {summary.seed})")
     lines.append(header)
-    for name in summary.suite:
+    for name, minimum in summary.oracle_minimum.items():
         row = f"{name:<14}"
         for a in ALGORITHMS:
-            cell = by_key[(name, a)]
-            row += f"{cell.best_size:>6} {cell.reduction_text + '%':>5}"
-        row += f"{summary.oracle_minimum[name]:>12}"
+            report = by_key[(name, a)]
+            row += f"{report.best_size:>6} {report.reduction + '%':>5}"
+        row += f"{minimum:>12}"
         lines.append(row)
     lines.append("")
     lines.append("mean size +/- stddev (mean ms per run)")
     lines.append(header[: len(f"{'instance':<14}") + 12 * len(ALGORITHMS)])
-    for name in summary.suite:
+    for name in summary.oracle_minimum:
         row = f"{name:<14}"
+        ms = []
         for a in ALGORITHMS:
-            cell = by_key[(name, a)]
-            row += f" {cell.mean_size:>5.2f}+-{cell.stddev_size:<5.2f}"
+            runs = by_key[(name, a)].runs
+            sizes = [r.size for r in runs]
+            row += f" {statistics.fmean(sizes):>5.2f}+-{statistics.pstdev(sizes):<5.2f}"
+            # rounded to the millis' own precision first, so float noise cannot flip a .x5 tie
+            ms.append(f"{a}={round(statistics.fmean(r.millis for r in runs), 3):.1f}ms")
         lines.append(row)
-        ms = "  ".join(f"{a}={by_key[(name, a)].mean_millis:.1f}ms" for a in ALGORITHMS)
-        lines.append(f"{'':<14}{ms}")
+        lines.append(f"{'':<14}{'  '.join(ms)}")
     return "\n".join(lines) + "\n"
 
 
 def summary_json(summary: BenchSummary) -> str:
     """Machine-readable summary.  Runtimes are deliberately excluded so two
     identically seeded sweeps serialize byte for byte."""
+    results = []
+    for report in summary.reports:
+        sizes = [r.size for r in report.runs]
+        results.append({
+            "instance": report.instance,
+            "algorithm": report.algorithm,
+            "best_size": report.best_size,
+            "best_selected": list(min(report.runs, key=lambda r: r.size).selected),
+            "sizes": sizes,
+            "mean_size": statistics.fmean(sizes),
+            "stddev_size": statistics.pstdev(sizes),
+            "reduction_percent": report.reduction,
+        })
     return write_json({
-        "suite": list(summary.suite),
+        "suite": list(summary.oracle_minimum),
         "runs": summary.runs,
         "seed": summary.seed,
         "oracle_minimum": dict(sorted(summary.oracle_minimum.items())),
-        "results": [
-            {
-                "instance": c.instance,
-                "algorithm": c.algorithm,
-                "best_size": c.best_size,
-                "best_selected": list(c.best_selected),
-                "sizes": list(c.sizes),
-                "mean_size": c.mean_size,
-                "stddev_size": c.stddev_size,
-                "reduction_percent": c.reduction_text,
-            }
-            for c in summary.cells
-        ],
+        "results": results,
     })

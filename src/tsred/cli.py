@@ -118,11 +118,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     else:
         result = minimum_cover(instance)
     size = result.minimum_size
+    reduction = f"{reduction_percent(instance.n, size)}%"
     if not result.complete and result.covers is None:  # stopped before k was proven minimal
         size = f"at most {size} (search stopped at the node limit)"
+        reduction = f"at least {reduction}"
     print(f"instance: {instance.name}")
     print(f"minimum size: {size}")
-    print(f"reduction: {reduction_percent(instance.n, result.minimum_size)}%")
+    print(f"reduction: {reduction}")
     print(f"witness: {', '.join(instance.ids(sorted(result.witness)))}")
     print(f"nodes: {result.nodes}")
     if result.covers is not None:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import tracemalloc
 
@@ -214,6 +215,20 @@ def test_solve_report_runs_given_configs_at_run_seeds():
         want_sa = simulated_annealing(inst, SAParams(alpha=0.9, t_initial=50.0, seed=7 + k))
         assert fis.runs[k].selected == ids(inst, want_fis.solution.selected)
         assert sa.runs[k].selected == ids(inst, want_sa.solution.selected)
+
+
+def test_bench_suite_runs_every_fis_cell_with_the_given_config():
+    # the `tsred bench` path with TSRED_RULEBASE set; at the defaults
+    # experiment-4's two FIS runs give sizes [14, 14], with this config [20, 28]
+    config = FISConfig(population_size=2, max_iterations=1)
+    summary = json.loads(bench.summary_json(bench.bench_suite(runs=2, seed=1, fis_config=config)))
+    fis_results = [r for r in summary["results"] if r["algorithm"] == "fis"]
+    assert [r["instance"] for r in fis_results] == list(summary["suite"])
+    for result in fis_results:
+        report = solve_report(builtin(result["instance"]), "fis", 1, 2, fis_config=config)
+        assert result["sizes"] == [run.size for run in report.runs]
+        assert result["best_size"] == report.best_size
+        assert result["best_selected"] == list(min(report.runs, key=lambda r: r.size).selected)
 
 
 @pytest.mark.parametrize(

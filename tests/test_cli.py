@@ -330,6 +330,7 @@ def test_oracle_stopped_at_node_limit_gives_upper_bound(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, "oracle", "--instance", "builtin:experiment-3", *extra)
         assert code == 0
         assert "minimum size: at most 3 (search stopped at the node limit)\n" in out
+        assert "reduction: at least 66.7%\n" in out  # from the unproven size, so a floor
         # no covers are listed against a size that was never proven minimal
         assert "minimum covers" not in out
 

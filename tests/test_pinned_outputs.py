@@ -15,9 +15,13 @@ every instance.
 The report and summary digests pin the bytes a user sees: `write_report` of
 a two-run report at seed 3 for every (bundled instance, algorithm) pair,
 with the clock held still, and `summary_json` of a three-run sweep at seed 1.
+The tables digest pins `render_tables` of that sweep, with a fake clock whose
+ticks grow so that each (instance, algorithm) shows its own mean runtime.
 """
 
+import functools
 import hashlib
+import itertools
 
 import pytest
 
@@ -32,7 +36,8 @@ from tsred import (
     solve_report,
     write_report,
 )
-from tsred.bench import bench_suite, summary_json
+from tsred import bench
+from tsred.bench import bench_suite, render_tables, summary_json
 
 SEEDS = (1, 2, 3)
 
@@ -159,6 +164,7 @@ REPORT_DIGESTS = {
 }
 
 SUMMARY_DIGEST = "29ae9e747af4f33bfe2c365d9bbd5902f46ac897670bfdd2fc817fee94f4bb78"
+TABLES_DIGEST = "af50b425e5ea4b963ae3bf48a0c8fa55b2cc2f524213e6060877f99466620ad0"
 
 
 def digest(result) -> str:
@@ -209,3 +215,13 @@ def test_report_bytes_are_pinned(name):
 
 def test_summary_bytes_are_pinned():
     assert sha256(summary_json(bench_suite(runs=3, seed=1))) == SUMMARY_DIGEST
+
+
+def test_tables_bytes_are_pinned(monkeypatch):
+    ticks = itertools.count()
+
+    def ticking_clock() -> float:  # run j of the sweep takes (4j + 1) / 10 ms
+        return next(ticks) ** 2 / 1e4
+
+    monkeypatch.setattr(bench, "solve_report", functools.partial(solve_report, clock=ticking_clock))
+    assert sha256(render_tables(bench_suite(runs=3, seed=1))) == TABLES_DIGEST
