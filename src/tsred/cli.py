@@ -210,8 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--selection", required=True, metavar="t1,t2,...")
     p_val.set_defaults(func=_cmd_validate)
 
-    p_bench = sub.add_parser("bench", help="sweep all algorithms over a suite")
-    p_bench.add_argument("--suite", choices=["builtin"], default="builtin")
+    p_bench = sub.add_parser("bench", help="sweep all algorithms over the bundled instances")
     p_bench.add_argument("--runs", type=int, default=_default(bench_suite, "runs"))
     p_bench.add_argument("--seed", type=int, default=_default(bench_suite, "seed"))
     p_bench.add_argument("--output", help="also write a machine readable JSON summary")

@@ -11,7 +11,15 @@ family of pairwise disjoint ones grows larger and the bound tighter.  An
 admissible bound only cuts subtrees that hold no cover within the current
 limit, and the limit changes only at such covers, so a stronger bound
 changes neither which covers the search reaches nor their order: minima,
-witnesses and enumerations are those of any other admissible bound.
+witnesses and enumerations are those of any other admissible bound.  The
+bound is walked only as far as the prune decision needs: the walk stops
+once the family outgrows the tests the limit leaves, so a pruned node pays
+only for the part of the bound that prunes it.
+
+Preprocessing drops implied requirements, those whose allowed candidates
+hold all of another's.  They are found through the test masks rather than
+by comparing requirements pairwise: the AND of the masks of one
+requirement's candidates is every requirement that holds them all.
 """
 
 from __future__ import annotations
@@ -50,13 +58,19 @@ def _bound_space(instance: Instance) -> tuple[list[int], tuple[int, ...], list[i
     return masks, tuple(instance.candidate_masks[i] for i in order), rank
 
 
-def _lower_bound(req_masks: tuple[int, ...], uncovered: int, allowed: int) -> int:
+def _lower_bound(
+    req_masks: tuple[int, ...], uncovered: int, allowed: int, budget: int = _INF
+) -> int:
     """Greedy family of uncovered requirements with pairwise disjoint
     candidate sets, taken in the order of `req_masks`; its size is an
     admissible bound since each needs its own test.  The search passes the
     requirements of `_bound_space`, in ascending candidate count, which
     usually makes the family larger than index order does.  Returns a huge
-    value when some requirement has no candidate left at all."""
+    value when some requirement has no candidate left at all.
+
+    The walk stops once the family outgrows `budget`, returning its size
+    then: any value above `budget` prunes alike, so only
+    `min(bound, budget + 1)` is exact."""
     bound = 0
     used = 0
     rest = uncovered
@@ -68,6 +82,8 @@ def _lower_bound(req_masks: tuple[int, ...], uncovered: int, allowed: int) -> in
             return _INF
         if not cands & used:
             bound += 1
+            if bound > budget:
+                return bound
             used |= cands
     return bound
 
@@ -87,14 +103,43 @@ def _branch_requirement(req_masks: tuple[int, ...], uncovered: int, allowed: int
     return best_i
 
 
+def _implied(
+    masks: tuple[int, ...], req_masks: tuple[int, ...], uncovered: int, allowed: int
+) -> int:
+    """`uncovered` without the requirements another one of it implies: i is
+    implied by j when j's allowed candidates all lie inside i's, so any test
+    covering j covers i.  Of requirements with equal allowed candidates only
+    the lowest index stays, as in `undominated` over the complements of the
+    candidate sets, which finds the same pool with a subset test per pair.
+
+    The requirements implied by j are the AND of the test masks of j's
+    allowed candidates.  Taking j in index order and skipping those already
+    dropped loses nothing: what an implied j implies, the requirement that
+    implies j implies too, and the lowest of equal ones stays until its turn.
+    """
+    kept = uncovered
+    for j in bits(uncovered):
+        bit = 1 << j
+        if not kept & bit:
+            continue
+        implied = kept
+        cands = req_masks[j] & allowed
+        while cands:
+            implied &= masks[(cands & -cands).bit_length() - 1]
+            cands &= cands - 1
+        kept &= ~implied | bit
+    return kept
+
+
 def _reduce(instance: Instance, drop_tests: bool) -> tuple[set[int], int, int]:
     """Preprocess to a fixpoint: forced picks, dominated tests (only when
-    `drop_tests`), dominated requirements.
+    `drop_tests`), implied requirements (`_implied`).
 
     Returns (forced, uncovered, allowed): the tests every cover must
-    contain, and as bitmasks the requirements they leave open after
-    dominance and the tests the search may still pick.  Test dominance keeps at least one
-    optimum but can discard alternative ones, so enumeration turns it off.
+    contain, and as bitmasks the requirements they leave open, less the
+    implied ones, and the tests the search may still pick.  Test dominance
+    keeps at least one optimum but can discard alternative ones, so
+    enumeration turns it off.
     """
     masks = instance.test_masks
     req_masks = instance.candidate_masks
@@ -109,8 +154,7 @@ def _reduce(instance: Instance, drop_tests: bool) -> tuple[set[int], int, int]:
             uncovered &= ~masks[t]
         if drop_tests:
             allowed = undominated([m & uncovered for m in masks], allowed & ~forced) | forced
-        # j implies i when j's candidates lie inside i's, i.e. i's complement inside j's
-        uncovered = undominated([allowed & ~c for c in req_masks], uncovered)
+        uncovered = _implied(masks, req_masks, uncovered, allowed)
         changed = (forced, allowed, uncovered) != before
     return set(bits(forced)), uncovered, allowed
 
@@ -139,7 +183,8 @@ def _search(
         if not uncovered:
             # a sibling may have tightened the limit since this branch began
             return leaf(chosen) if len(chosen) <= limit else limit
-        if len(chosen) + _lower_bound(req_b, uncovered_b, allowed) > limit:
+        budget = limit - len(chosen)
+        if _lower_bound(req_b, uncovered_b, allowed, budget) > budget:
             return limit
         i = _branch_requirement(req_masks, uncovered, allowed)
         cands = req_masks[i] & allowed

@@ -52,6 +52,19 @@ def brute_minimum_covers(instance: Instance) -> list[frozenset[int]]:
     ]
 
 
+def implied_naive(instance: Instance, uncovered: set[int], allowed: set[int]) -> set[int]:
+    """The requirements of `uncovered` that no other one of it implies.  j
+    implies i when j's candidates within `allowed` all lie inside i's; of
+    requirements with equal candidates within `allowed`, the lowest index
+    implies the others."""
+    own = {i: set(instance.requirements[i].candidates) & allowed for i in uncovered}
+    return {
+        i
+        for i in uncovered
+        if not any(j != i and own[j] <= own[i] and (own[j] != own[i] or j < i) for j in uncovered)
+    }
+
+
 def random_instance(rng: random.Random, max_tests: int = 16, max_requirements: int = 12) -> Instance:
     """Random solvable instance: every requirement names at least one test."""
     n = rng.randint(1, max_tests)

@@ -67,6 +67,13 @@ def test_solve_rejects_unknown_algorithm(capsys):
     assert code == 2
 
 
+def test_bench_refuses_the_removed_suite_option(capsys):
+    # bench always sweeps the bundled instances; `--suite builtin` once
+    # named that and was never read
+    assert main(["bench", "--suite", "builtin", "--runs", "1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 OUT_OF_RANGE = [
     ("solve", "--instance", EXP1, "--runs", "0"),
     ("solve", "--instance", EXP1, "--population", "1"),

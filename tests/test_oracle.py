@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_minimum, brute_minimum_covers, covers_naive, random_instance
+from helpers import (
+    brute_minimum,
+    brute_minimum_covers,
+    covers_naive,
+    implied_naive,
+    random_instance,
+)
 from tsred import (
     builtin,
     enumerate_minimum_covers,
@@ -15,7 +21,7 @@ from tsred import (
     validate_instance,
 )
 from tsred import oracle
-from tsred.oracle import _bound_space, _lower_bound, _reduce
+from tsred.oracle import _bound_space, _implied, _lower_bound, _reduce
 
 # frozen exact minima for the two larger benchmarks
 EXP4_MINIMUM = 11
@@ -253,6 +259,37 @@ def test_root_bound_never_exceeds_minimum(seed):
         assert len(forced) + _lower_bound(req_b, renumbered(uncovered), allowed) <= k
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_implied_requirements_match_set_reference(seed):
+    rng = random.Random(seed)
+    inst = random_instance(rng, max_tests=10, max_requirements=14)
+    allowed = {t for t in range(inst.n) if rng.random() < 0.7}
+    # as in _reduce, every open requirement keeps an allowed candidate
+    uncovered = {
+        i for i, req in enumerate(inst.requirements) if req.candidates & allowed and rng.random() < 0.8
+    }
+    kept = _implied(
+        inst.test_masks,
+        inst.candidate_masks,
+        sum(1 << i for i in uncovered),
+        sum(1 << t for t in allowed),
+    )
+    assert kept == sum(1 << i for i in implied_naive(inst, uncovered, allowed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-2, 12))
+def test_budgeted_bound_prunes_as_the_full_bound(seed, budget):
+    rng = random.Random(seed)
+    inst = random_instance(rng, max_tests=12, max_requirements=14)
+    _, req_b, _ = _bound_space(inst)
+    # any masks: a requirement left without allowed candidates is included
+    uncovered, allowed = rng.getrandbits(inst.m), rng.getrandbits(inst.n)
+    full = _lower_bound(req_b, uncovered, allowed)
+    assert min(_lower_bound(req_b, uncovered, allowed, budget), budget + 1) == min(full, budget + 1)
+
+
 def sparse_instance(seed: int, size: tuple[int, int] = (20, 64)):
     """n tests, n within `size` (20-64 by default), n to 2n requirements of 2-6
     candidates each: too many tests for brute force, sparse enough that the
@@ -266,11 +303,45 @@ def sparse_instance(seed: int, size: tuple[int, int] = (20, 64)):
     return validate_instance(f"sparse-{seed}", tests, requirements)
 
 
+# per sparse_instance seed: minimum_cover nodes, enumeration nodes, number
+# of minimum covers listed (cap 1000) and the minimum_cover witness.  Frozen
+# so that a faster bound or preprocessing must keep the search's shape where
+# it does real work, unlike on the bundled instances (1-170 nodes)
+SPARSE_SEARCH = {
+    0: (765, 2768, 12, "t1 t2 t5 t8 t11 t16 t19 t20 t21 t30 t38 t40 t43"),
+    1: (15, 76, 2, "t0 t3 t5 t15 t21 t25 t27"),
+    2: (1, 23, 2, "t1 t3 t5 t16 t18"),
+    3: (90, 131, 2, "t0 t2 t4 t6 t8 t14 t16 t17 t21 t26 t30"),
+    4: (224, 922, 29, "t0 t2 t4 t7 t12 t14 t17 t18 t21 t25 t30"),
+    5: (1395, 10790, 121, "t0 t9 t10 t12 t13 t20 t22 t23 t24 t30 t31 t37 t38 t40 t41 t44 t55"),
+    6: (3792, 6296, 3, "t1 t2 t5 t7 t8 t13 t14 t24 t27 t28 t31 t35 t39 t40 t44 t46 t47 t51 t54"),
+    7: (270, 1289, 57, "t3 t4 t6 t7 t9 t10 t15 t17 t18 t22 t23 t33"),
+    8: (105, 216, 3, "t0 t2 t5 t10 t15 t17 t22 t23 t24 t28 t31"),
+    9: (1272, 5503, 205, "t0 t3 t5 t8 t11 t12 t17 t21 t22 t23 t28 t36 t37 t38 t39 t40 t41 t44 t45 t46"),
+    10: (201, 379, 2, "t5 t10 t15 t18 t19 t26 t27 t30 t31 t37 t38 t39 t50 t55"),
+    11: (253, 1479, 9, "t0 t2 t3 t4 t7 t8 t11 t12 t14 t15 t20 t25 t26 t30 t34"),
+    12: (1269, 8532, 537, "t2 t5 t12 t15 t17 t23 t24 t25 t33 t35 t39 t42 t43 t44 t46"),
+    13: (245, 1390, 42, "t0 t2 t9 t12 t14 t16 t19 t27 t33 t34 t35"),
+    14: (52, 147, 5, "t0 t4 t8 t12 t16 t17 t19 t23"),
+    15: (62, 729, 57, "t0 t1 t7 t8 t14 t28 t29 t30 t32"),
+    16: (519, 2378, 104, "t2 t5 t12 t14 t15 t18 t19 t23 t25 t29 t30 t32 t39 t40 t42"),
+    17: (1039, 2079, 1, "t0 t1 t4 t9 t13 t15 t19 t21 t23 t27 t32 t33 t34 t36 t46 t52"),
+    18: (248, 421, 3, "t6 t10 t12 t15 t17 t23 t27 t28 t29"),
+    19: (4862, 36136, 1000, "t1 t10 t11 t14 t16 t17 t18 t27 t30 t32 t37 t39 t40 t43 t51 t54 t56"),
+    20: (3797, 14644, 172, "t6 t7 t8 t9 t10 t12 t17 t20 t21 t28 t31 t32 t39 t42 t48 t49 t52 t54 t58 t62"),
+    21: (185, 748, 177, "t0 t1 t2 t5 t7 t8 t11 t15 t25 t28"),
+    22: (50, 217, 11, "t1 t2 t3 t5 t14 t17 t18 t19 t24"),
+    23: (113, 361, 29, "t0 t1 t2 t6 t9 t19 t24 t26 t35 t36 t37"),
+}
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_minimum_and_enumeration_agree_beyond_brute_force(seed):
     inst = sparse_instance(seed)
     best = minimum_cover(inst)
     res = enumerate_minimum_covers(inst)
+    witness = " ".join(inst.ids(sorted(best.witness)))
+    assert (best.nodes, res.nodes, len(res.covers), witness) == SPARSE_SEARCH[seed]
     k = best.minimum_size
     assert res.minimum_size == k
     assert covers_naive(inst, best.witness)
