@@ -77,17 +77,8 @@ def solve_report(
             instance, algorithm, seed + k, fis_config=fis_config, sa_params=sa_params
         )
         t1 = clock()
-        results.append(
-            RunResult(selected=selected, size=len(selected), millis=round((t1 - t0) * 1000.0, 3))
-        )
-    return RunReport(
-        instance=instance.name,
-        algorithm=algorithm,
-        seed=seed,
-        total_tests=instance.n,
-        runs=tuple(results),
-        best_size=min(r.size for r in results),
-    )
+        results.append(RunResult(selected, millis=round((t1 - t0) * 1000.0, 3)))
+    return RunReport(instance.name, algorithm, seed, instance.n, runs=tuple(results))
 
 
 @dataclass(frozen=True)

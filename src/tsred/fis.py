@@ -197,7 +197,6 @@ def run_fis(instance: Instance, config: FISConfig | None = None) -> FISResult:
     op_log: list[str] = []
     for _ in range(cfg.max_iterations):
         op_log.append(current_op)
-        previous_best = best_obj
         iter_perm: tuple[int, ...] | None = None
         iter_obj = n + 1
         crossover = current_op == "crossover"
@@ -228,7 +227,7 @@ def run_fis(instance: Instance, config: FISConfig | None = None) -> FISResult:
         crisp = infer(
             rb,
             {
-                "quality": measure_quality(previous_best, iter_obj, n),
+                "quality": measure_quality(best_obj, iter_obj, n),
                 "intensification": measure_intensification(iter_perm, best_perm),
                 "diversification": measure_diversification(iter_perm, rows),
             },

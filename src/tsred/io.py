@@ -15,9 +15,9 @@ nothing here opens a file (the CLI reads and writes them).
 One strict reader parses all three: UTF-8 JSON in which every field has its
 JSON type (a boolean is not a number), else a ParseError naming the field.
 Semantic checks live in core.validate_instance and the fuzzy dataclasses.
-parse_report and write_report judge reports by one rulebook; write_report
-also re-checks every selected set with is_cover, so an invalid set never
-reaches disk through this path.
+parse_report and write_report judge reports by one rulebook; parse_report also
+refuses a stated size, best_size or reduction_percent its runs do not give, and
+write_report re-checks every selected set with is_cover before it serializes.
 """
 
 from __future__ import annotations
@@ -158,21 +158,29 @@ def write_instance(doc: InstanceDocument) -> str:
 
 @dataclass(frozen=True)
 class RunResult:
-    """One run's best selection: test ids in decoded order, plus wall time."""
+    """One run's best selection: test ids in decoded order (`size` counts them), plus wall time."""
 
     selected: tuple[str, ...]
-    size: int
     millis: float
+
+    @property
+    def size(self) -> int:
+        return len(self.selected)
 
 
 @dataclass(frozen=True)
 class RunReport:
+    """Repeated runs, as measured; `best_size` and `reduction` derive from `runs`."""
+
     instance: str
     algorithm: str
     seed: int
     total_tests: int
     runs: tuple[RunResult, ...]
-    best_size: int
+
+    @property
+    def best_size(self) -> int:
+        return min(r.size for r in self.runs)
 
     @property
     def reduction(self) -> str:
@@ -193,8 +201,6 @@ def _report_problems(report: RunReport, instance: Instance | None = None) -> lis
     if not report.runs:
         problems.append("report has no runs")
     for i, run in enumerate(report.runs):
-        if run.size != len(run.selected):
-            problems.append(f"runs[{i}]: size {run.size} != {len(run.selected)} selected")
         if not 0 <= run.millis < math.inf:  # NaN fails this too
             problems.append(f"runs[{i}]: millis {run.millis} is not a finite duration")
         if instance is None:
@@ -204,10 +210,8 @@ def _report_problems(report: RunReport, instance: Instance | None = None) -> lis
             problems.append(f"runs[{i}]: unknown tests {unknown}")
         elif not is_cover(instance, (instance.index_of[t] for t in run.selected)):
             problems.append(f"runs[{i}]: selection is not a cover")
-    if report.runs and report.best_size != min(r.size for r in report.runs):
-        problems.append("best_size is not the minimum over runs")
-    if report.total_tests < 1 or not 0 <= report.best_size <= report.total_tests:
-        problems.append(f"best_size {report.best_size} out of range for {report.total_tests} tests")
+    if report.total_tests < 1 or report.runs and report.best_size > report.total_tests:
+        problems.append(f"best_size out of range for {report.total_tests} tests")
     return problems
 
 
@@ -232,27 +236,27 @@ def write_report(report: RunReport, instance: Instance) -> str:
 
 def parse_report(data: str | bytes) -> RunReport:
     raw = _typed(_loads(data), dict, "report")
-    runs = []
+    runs, problems = [], []
     for i, entry in enumerate(_field(raw, "runs", list)):
         where = f"runs[{i}]"
         _typed(entry, dict, where)
-        runs.append(
-            RunResult(
-                _strings(entry, "selected", where),
-                _field(entry, "size", int, where),
-                _field(entry, "millis", _NUMBER, where),
-            )
-        )
+        selected = _strings(entry, "selected", where)
+        size = _field(entry, "size", int, where)
+        if size != len(selected):
+            problems.append(f"{where}.size {size} does not match {len(selected)} selected")
+        runs.append(RunResult(selected, _field(entry, "millis", _NUMBER, where)))
     report = RunReport(
         instance=_field(raw, "instance", str),
         algorithm=_field(raw, "algorithm", str),
         seed=_field(raw, "seed", int),
         total_tests=_field(raw, "total_tests", int),
         runs=tuple(runs),
-        best_size=_field(raw, "best_size", int),
     )
+    best_size = _field(raw, "best_size", int)
     stated = _field(raw, "reduction_percent", str)
-    problems = _report_problems(report)
+    problems = _report_problems(report) + problems
+    if runs and best_size != report.best_size:
+        problems.append(f"best_size {best_size} is not the minimum {report.best_size} over runs")
     if not problems and stated != report.reduction:
         problems.append(f"reduction_percent {stated!r} does not match best_size {report.best_size}")
     if problems:

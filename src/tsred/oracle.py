@@ -225,8 +225,12 @@ def minimum_cover(instance: Instance) -> OracleResult:
 
 
 def enumerate_minimum_covers(instance: Instance, cap: int = 1000) -> OracleResult:
-    """All minimum covers, lexicographically sorted, up to `cap` of them; if
-    `minimum_cover` stops at `MAX_NODES`, its result: k is unproven, so no covers."""
+    """All minimum covers, lexicographically sorted, up to `cap` of them.  This
+    proves the minimum itself, so a caller wanting both needs only this call:
+    `minimum_size` is the minimum, `covers[0]` a witness (the lexicographically
+    first, not `minimum_cover`'s), and `complete` says whether every minimum cover
+    was found.  If `minimum_cover` stops at `MAX_NODES`, this is its result: k is
+    unproven, so `covers` is None and `complete` False."""
     if cap < 1:
         raise ParameterError("cap must be positive")
     best = minimum_cover(instance)

@@ -1,13 +1,20 @@
 import json
 import math
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import random_instance
 from tsred import (
+    ALGORITHMS,
+    FISConfig,
     InstanceDocument,
     RunReport,
     RunResult,
+    SAParams,
     builtin,
     builtin_document,
     builtin_names,
@@ -119,10 +126,9 @@ def _report(instance):
         seed=3,
         total_tests=instance.n,
         runs=(
-            RunResult(selected=("t1", "t2", "t4"), size=3, millis=1.25),
-            RunResult(selected=("t2", "t4", "t7"), size=3, millis=0.75),
+            RunResult(selected=("t1", "t2", "t4"), millis=1.25),
+            RunResult(selected=("t2", "t4", "t7"), millis=0.75),
         ),
-        best_size=3,
     )
 
 
@@ -150,23 +156,7 @@ def test_write_report_rejects_non_cover():
         algorithm="ge",
         seed=0,
         total_tests=7,
-        runs=(RunResult(selected=("t1", "t2"), size=2, millis=0.1),),
-        best_size=2,
-    )
-    with pytest.raises(InvalidReportError):
-        write_report(bad, inst)
-
-
-def test_write_report_rejects_wrong_best_size():
-    inst = builtin("experiment-1")
-    report = _report(inst)
-    bad = RunReport(
-        instance=report.instance,
-        algorithm=report.algorithm,
-        seed=report.seed,
-        total_tests=report.total_tests,
-        runs=report.runs,
-        best_size=4,
+        runs=(RunResult(selected=("t1", "t2"), millis=0.1),),
     )
     with pytest.raises(InvalidReportError):
         write_report(bad, inst)
@@ -179,8 +169,7 @@ def test_write_report_rejects_unknown_test():
         algorithm="ge",
         seed=0,
         total_tests=7,
-        runs=(RunResult(selected=("t1", "nope", "t4"), size=3, millis=0.1),),
-        best_size=3,
+        runs=(RunResult(selected=("t1", "nope", "t4"), millis=0.1),),
     )
     with pytest.raises(InvalidReportError):
         write_report(bad, inst)
@@ -195,7 +184,6 @@ def test_write_report_rejects_name_mismatch():
         seed=report.seed,
         total_tests=report.total_tests,
         runs=report.runs,
-        best_size=report.best_size,
     )
     with pytest.raises(InvalidReportError):
         write_report(bad, inst)
@@ -206,16 +194,39 @@ def test_write_report_rejects_name_mismatch():
     [
         lambda p: p.update(reduction_percent="99.9"),
         lambda p: p["runs"][1].update(size=4),
+        lambda p: p["runs"][0].update(size=2),  # would be the minimum if it were believed
         lambda p: p.update(best_size=4, reduction_percent="42.9"),  # not the minimum
+        lambda p: p.update(best_size=2, reduction_percent="71.4"),  # below the minimum
         lambda p: p.update(runs=[]),
         lambda p: p.update(total_tests=2),  # below best_size
     ],
-    ids=["reduction", "run-size", "best-size", "no-runs", "total-tests"],
+    ids=["reduction", "run-size", "run-size-below", "best-size", "best-size-below", "no-runs",
+         "total-tests"],
 )
 def test_parse_report_rejects_inconsistent_reduction(mutate):
     inst = builtin("experiment-1")
     payload = json.loads(write_report(_report(inst), inst))
     mutate(payload)
+    with pytest.raises(InvalidReportError):
+        parse_report(json.dumps(payload))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(ALGORITHMS), st.data())
+def test_every_stated_figure_must_match_the_runs(seed, algorithm, data):
+    inst = random_instance(random.Random(seed), max_tests=8, max_requirements=6)
+    report = solve_report(inst, algorithm, seed=seed, runs=2,
+                          fis_config=FISConfig(population_size=4, max_iterations=5),
+                          sa_params=SAParams(alpha=0.5))
+    text = write_report(report, inst)
+    assert parse_report(text) == report
+    assert write_report(parse_report(text), inst) == text
+    payload = json.loads(text)
+    stated = [(run, "size") for run in payload["runs"]]
+    holder, key = data.draw(st.sampled_from(stated + [(payload, "best_size"),
+                                                      (payload, "reduction_percent")]))
+    other = st.text() if key == "reduction_percent" else st.integers()
+    holder[key] = data.draw(other.filter(lambda v: v != holder[key]))
     with pytest.raises(InvalidReportError):
         parse_report(json.dumps(payload))
 
