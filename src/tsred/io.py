@@ -203,6 +203,8 @@ def _report_problems(report: RunReport, instance: Instance | None = None) -> lis
     for i, run in enumerate(report.runs):
         if not 0 <= run.millis < math.inf:  # NaN fails this too
             problems.append(f"runs[{i}]: millis {run.millis} is not a finite duration")
+        if len(set(run.selected)) != len(run.selected):  # size would count the repeat
+            problems.append(f"runs[{i}]: selection names a test more than once")
         if instance is None:
             continue
         unknown = [t for t in run.selected if t not in instance.index_of]

@@ -14,7 +14,10 @@ changes neither which covers the search reaches nor their order: minima,
 witnesses and enumerations are those of any other admissible bound.  The
 bound is walked only as far as the prune decision needs: the walk stops
 once the family outgrows the tests the limit leaves, so a pruned node pays
-only for the part of the bound that prunes it.
+only for the part of the bound that prunes it.  It steps from one family
+member to the next: each member drops, in one mask operation, every
+requirement that shares an allowed candidate with it, so the requirements
+it skips cost nothing one by one.
 
 Preprocessing drops implied requirements, those whose allowed candidates
 hold all of another's.  They are found through the test masks rather than
@@ -41,10 +44,12 @@ class OracleResult:
     nodes: int = 0  # branch-and-bound nodes visited; for enumeration, its own search only
 
 
-def _bound_space(instance: Instance) -> tuple[list[int], tuple[int, ...], list[int]]:
+def _bound_space(instance: Instance) -> tuple[list[int], tuple[int, ...], list[int], list[int]]:
     """The requirements renumbered by ascending candidate count, ties by
-    index.  Returns each test's requirement mask and each requirement's
-    candidate mask in the new numbering, and the new number of each
+    index.  Returns, in the new numbering, each test's requirement mask,
+    each requirement's candidate mask and each requirement's `near` mask
+    (the requirements that share a candidate with it, itself included, as
+    the OR of its candidates' test masks), and the new number of each
     requirement."""
     reqs = instance.requirements
     # a stable sort, so ties keep index order
@@ -55,11 +60,20 @@ def _bound_space(instance: Instance) -> tuple[list[int], tuple[int, ...], list[i
         rank[i] = r
         for t in reqs[i].candidates:
             masks[t] |= 1 << r
-    return masks, tuple(instance.candidate_masks[i] for i in order), rank
+    near = [0] * instance.m
+    for r, i in enumerate(order):
+        for t in reqs[i].candidates:
+            near[r] |= masks[t]
+    return masks, tuple(instance.candidate_masks[i] for i in order), near, rank
 
 
 def _lower_bound(
-    req_masks: tuple[int, ...], uncovered: int, allowed: int, budget: int = _INF
+    req_masks: tuple[int, ...],
+    masks: list[int],
+    near: list[int],
+    uncovered: int,
+    allowed: int,
+    budget: int = _INF,
 ) -> int:
     """Greedy family of uncovered requirements with pairwise disjoint
     candidate sets, taken in the order of `req_masks`; its size is an
@@ -68,23 +82,36 @@ def _lower_bound(
     usually makes the family larger than index order does.  Returns a huge
     value when some requirement has no candidate left at all.
 
+    The walk visits only the requirements that join the family.  When one
+    joins, those that share an allowed candidate with it can no longer
+    join, so they leave the walk in one step: the OR of the test masks
+    `masks` of its allowed candidates, or its `near` mask when all of its
+    candidates are allowed.  A requirement with no allowed candidate is in
+    no such OR, so the walk still reaches it where a walk over every
+    requirement would, and returns the huge value there.
+
     The walk stops once the family outgrows `budget`, returning its size
     then: any value above `budget` prunes alike, so only
     `min(bound, budget + 1)` is exact."""
     bound = 0
-    used = 0
     rest = uncovered
     while rest:
         i = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        cands = req_masks[i] & allowed
+        r = req_masks[i]
+        cands = r & allowed
         if not cands:
             return _INF
-        if not cands & used:
-            bound += 1
-            if bound > budget:
-                return bound
-            used |= cands
+        bound += 1
+        if bound > budget:
+            return bound
+        if cands == r:
+            rest &= ~near[i]
+        else:
+            blocked = 0
+            while cands:
+                blocked |= masks[(cands & -cands).bit_length() - 1]
+                cands &= cands - 1
+            rest &= ~blocked
     return bound
 
 
@@ -184,7 +211,7 @@ def _search(
             # a sibling may have tightened the limit since this branch began
             return leaf(chosen) if len(chosen) <= limit else limit
         budget = limit - len(chosen)
-        if _lower_bound(req_b, uncovered_b, allowed, budget) > budget:
+        if _lower_bound(req_b, masks_b, near, uncovered_b, allowed, budget) > budget:
             return limit
         i = _branch_requirement(req_masks, uncovered, allowed)
         cands = req_masks[i] & allowed
@@ -204,7 +231,7 @@ def _search(
 
     uncovered_b = 0
     if uncovered:
-        masks_b, req_b, rank = _bound_space(instance)
+        masks_b, req_b, near, rank = _bound_space(instance)
         for i in bits(uncovered):
             uncovered_b |= 1 << rank[i]
     return visit(uncovered, uncovered_b, allowed, limit), nodes

@@ -65,6 +65,23 @@ def implied_naive(instance: Instance, uncovered: set[int], allowed: set[int]) ->
     }
 
 
+def packing_bound_naive(instance: Instance, uncovered: set[int], allowed: set[int]) -> float:
+    """The oracle's packing bound: the size of the greedy family of
+    requirements of `uncovered` whose candidates within `allowed` are
+    pairwise disjoint, taken in ascending candidate count, ties by index.
+    Infinite when some requirement of `uncovered` has no allowed candidate."""
+    own = {i: set(instance.requirements[i].candidates) & allowed for i in uncovered}
+    if not all(own.values()):
+        return math.inf
+    family_tests: set[int] = set()
+    size = 0
+    for i in sorted(uncovered, key=lambda i: (len(instance.requirements[i].candidates), i)):
+        if not own[i] & family_tests:
+            family_tests |= own[i]
+            size += 1
+    return size
+
+
 def random_instance(rng: random.Random, max_tests: int = 16, max_requirements: int = 12) -> Instance:
     """Random solvable instance: every requirement names at least one test."""
     n = rng.randint(1, max_tests)

@@ -256,6 +256,23 @@ def test_report_rejects_field_no_solver_writes(edit_document, edit_report):
         write_report(edit_report(report), inst)
 
 
+def test_report_rejects_a_test_named_twice():
+    inst = builtin("experiment-1")
+    report = solve_report(inst, "ge")
+    run = report.runs[0]
+    repeated = replace(report, runs=(replace(run, selected=(*run.selected, run.selected[0])),))
+    # size counts the repeat: four distinct tests would read 42.9
+    assert (repeated.best_size, repeated.reduction) == (5, "28.6")
+    with pytest.raises(InvalidReportError, match="more than once"):
+        write_report(repeated, inst)
+    # a document whose stated figures all agree with the repeat
+    payload = json.loads(write_report(report, inst))
+    payload["runs"][0].update(selected=list(repeated.runs[0].selected), size=5)
+    payload.update(best_size=5, reduction_percent="28.6")
+    with pytest.raises(InvalidReportError, match="more than once"):
+        parse_report(json.dumps(payload))
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("selected", "t7"), ("size", "2"), ("size", True), ("millis", "1"),

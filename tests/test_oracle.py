@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from helpers import (
     brute_minimum_covers,
     covers_naive,
     implied_naive,
+    packing_bound_naive,
     random_instance,
 )
 from tsred import (
@@ -247,16 +249,16 @@ def test_enumeration_matches_brute_force(seed):
 def test_root_bound_never_exceeds_minimum(seed):
     inst = random_instance(random.Random(seed), max_tests=12, max_requirements=10)
     k = brute_minimum(inst)
-    _, req_b, rank = _bound_space(inst)
+    masks_b, req_b, near, rank = _bound_space(inst)
 
     def renumbered(mask: int) -> int:
         return sum(1 << rank[i] for i in range(inst.m) if mask >> i & 1)
 
-    assert _lower_bound(req_b, renumbered(inst.full_mask), (1 << inst.n) - 1) <= k
+    assert _lower_bound(req_b, masks_b, near, renumbered(inst.full_mask), (1 << inst.n) - 1) <= k
     # the roots the two searches start from, after preprocessing
     for drop_tests in (True, False):
         forced, uncovered, allowed = _reduce(inst, drop_tests)
-        assert len(forced) + _lower_bound(req_b, renumbered(uncovered), allowed) <= k
+        assert len(forced) + _lower_bound(req_b, masks_b, near, renumbered(uncovered), allowed) <= k
 
 
 @settings(max_examples=300, deadline=None)
@@ -283,22 +285,61 @@ def test_implied_requirements_match_set_reference(seed):
 def test_budgeted_bound_prunes_as_the_full_bound(seed, budget):
     rng = random.Random(seed)
     inst = random_instance(rng, max_tests=12, max_requirements=14)
-    _, req_b, _ = _bound_space(inst)
+    masks_b, req_b, near, _ = _bound_space(inst)
     # any masks: a requirement left without allowed candidates is included
     uncovered, allowed = rng.getrandbits(inst.m), rng.getrandbits(inst.n)
-    full = _lower_bound(req_b, uncovered, allowed)
-    assert min(_lower_bound(req_b, uncovered, allowed, budget), budget + 1) == min(full, budget + 1)
+    full = _lower_bound(req_b, masks_b, near, uncovered, allowed)
+    assert min(
+        _lower_bound(req_b, masks_b, near, uncovered, allowed, budget), budget + 1
+    ) == min(full, budget + 1)
 
 
-def sparse_instance(seed: int, size: tuple[int, int] = (20, 64)):
-    """n tests, n within `size` (20-64 by default), n to 2n requirements of 2-6
-    candidates each: too many tests for brute force, sparse enough that the
-    search does real work."""
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-1, 12), st.sampled_from([0.0, 0.15, 0.5]))
+def test_packing_bound_matches_set_reference(seed, budget, p_banned):
+    """p_banned 0 keeps every candidate allowed; above it, some requirements
+    keep part of their candidates and some none."""
+    rng = random.Random(seed)
+    inst = random_instance(rng, max_tests=12, max_requirements=14)
+    masks_b, req_b, near, rank = _bound_space(inst)
+    uncovered = {i for i in range(inst.m) if rng.random() < 0.8}
+    allowed = {t for t in range(inst.n) if rng.random() >= p_banned}
+    uncovered_b = sum(1 << rank[i] for i in uncovered)
+    bound = _lower_bound(req_b, masks_b, near, uncovered_b, sum(1 << t for t in allowed), budget)
+    assert min(bound, budget + 1) == min(packing_bound_naive(inst, uncovered, allowed), budget + 1)
+
+
+def test_packing_bound_on_every_kind_of_requirement():
+    # r0 keeps all its candidates, r2 part of them, r3 none; r1 shares t0 with r0
+    inst = validate_instance(
+        "kinds",
+        ["t0", "t1", "t2", "t3", "t4"],
+        [("r0", ["t0"]), ("r1", ["t0", "t1"]), ("r2", ["t2", "t3"]), ("r3", ["t4"])],
+    )
+    masks_b, req_b, near, rank = _bound_space(inst)
+    allowed = {0, 1, 2}
+
+    def bound(uncovered):
+        mask = sum(1 << rank[i] for i in uncovered)
+        return _lower_bound(req_b, masks_b, near, mask, sum(1 << t for t in allowed))
+
+    cases = (({0, 1, 2}, 2), ({1, 2}, 2), ({0, 1, 2, 3}, math.inf), ({3}, math.inf))
+    for uncovered, expected in cases:
+        assert packing_bound_naive(inst, uncovered, allowed) == expected
+        assert min(bound(uncovered), inst.n + 1) == min(expected, inst.n + 1)
+
+
+def sparse_instance(
+    seed: int, size: tuple[int, int] = (20, 64), candidates: tuple[int, int] = (2, 6)
+):
+    """n tests, n within `size` (20-64 by default), n to 2n requirements of
+    `candidates` (2-6 by default) candidates each: too many tests for brute
+    force, sparse enough that the search does real work."""
     rng = random.Random(seed)
     n = rng.randint(*size)
     tests = [f"t{j}" for j in range(n)]
     requirements = [
-        (f"r{i}", rng.sample(tests, rng.randint(2, 6))) for i in range(rng.randint(n, 2 * n))
+        (f"r{i}", rng.sample(tests, rng.randint(*candidates))) for i in range(rng.randint(n, 2 * n))
     ]
     return validate_instance(f"sparse-{seed}", tests, requirements)
 
@@ -333,6 +374,33 @@ SPARSE_SEARCH = {
     22: (50, 217, 11, "t1 t2 t3 t5 t14 t17 t18 t19 t24"),
     23: (113, 361, 29, "t0 t1 t2 t6 t9 t19 t24 t26 t35 t36 t37"),
 }
+
+
+# as SPARSE_SEARCH, for instances of 24-34 tests and 5-24 candidates per
+# requirement: a test covers many requirements, so the search bans many
+# candidates and the packing bound often meets requirements with only part
+# of their candidates allowed
+DENSE_SEARCH = {
+    0: (66, 421, 5, "t0 t2 t3 t13"),
+    1: (50, 154, 5, "t5 t12 t18"),
+    2: (23, 107, 25, "t0 t16 t21"),
+    3: (176, 923, 98, "t1 t8 t9 t19"),
+    4: (28, 131, 4, "t1 t2 t9"),
+    5: (118, 465, 3, "t0 t2 t11 t31"),
+    6: (137, 725, 23, "t3 t8 t11 t15"),
+    7: (126, 223, 1, "t8 t12 t18"),
+}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dense_search_is_frozen(seed):
+    inst = sparse_instance(seed, size=(24, 34), candidates=(5, 24))
+    best = minimum_cover(inst)
+    res = enumerate_minimum_covers(inst)
+    witness = " ".join(inst.ids(sorted(best.witness)))
+    assert (best.nodes, res.nodes, len(res.covers), witness) == DENSE_SEARCH[seed]
+    assert res.complete and best.witness in res.covers
+    assert all(covers_naive(inst, cover) for cover in res.covers)
 
 
 @pytest.mark.parametrize("seed", range(24))
