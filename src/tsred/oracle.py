@@ -19,6 +19,15 @@ member to the next: each member drops, in one mask operation, every
 requirement that shares an allowed candidate with it, so the requirements
 it skips cost nothing one by one.
 
+The requirement to branch on, the lowest with at most one allowed
+candidate or else the lowest of those with the fewest, is read from counts
+kept as bit planes: bit i of plane k is bit k of requirement i's number of
+allowed candidates.  The search builds the planes once, by a ripple-carry
+add of the allowed tests' masks.  When a branch's test is banned for its
+later siblings, a borrow chain subtracts that test's mask into a new list,
+which the children share and never change.  The pick then costs a few
+operations per plane, not one per open requirement.
+
 Preprocessing drops implied requirements, those whose allowed candidates
 hold all of another's.  They are found through the test masks rather than
 by comparing requirements pairwise: the AND of the masks of one
@@ -115,19 +124,51 @@ def _lower_bound(
     return bound
 
 
-def _branch_requirement(req_masks: tuple[int, ...], uncovered: int, allowed: int) -> int:
-    """Uncovered requirement with the fewest usable candidates."""
-    best_i, best_count = -1, _INF
-    rest = uncovered
-    while rest:
-        i = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        count = (req_masks[i] & allowed).bit_count()
-        if count < best_count:
-            best_i, best_count = i, count
-            if count <= 1:
+def _count_planes(masks: tuple[int, ...], allowed: int) -> list[int]:
+    """Each requirement's number of allowed candidates, bit-sliced: bit i of
+    `planes[k]` is bit k of requirement i's count.  Built by a ripple-carry
+    add of the test mask of each allowed test."""
+    planes: list[int] = []
+    for t in bits(allowed):
+        carry = masks[t]
+        for k, plane in enumerate(planes):
+            planes[k] = plane ^ carry
+            carry &= plane
+            if not carry:
                 break
-    return best_i
+        else:
+            planes.append(carry)
+    return planes
+
+
+def _drop_count(planes: list[int], mask: int) -> list[int]:
+    """`planes` less one candidate for each requirement of `mask`, by a
+    borrow chain, as a new list.  Each of them must count at least one."""
+    dropped = planes.copy()
+    borrow = mask
+    for k, plane in enumerate(planes):
+        dropped[k] = plane ^ borrow
+        borrow &= ~plane
+        if not borrow:
+            break
+    return dropped
+
+
+def _branch_requirement(planes: list[int], uncovered: int) -> int:
+    """The lowest uncovered requirement with at most one usable candidate,
+    else the lowest of those with the fewest, read from the count planes:
+    the requirements with no bit set above the lowest plane, else those left
+    by narrowing plane by plane from the top to the ones without the bit."""
+    high = 0
+    for plane in planes[1:]:
+        high |= plane
+    pick = uncovered & ~high
+    if not pick:
+        pick = uncovered
+        for plane in reversed(planes):
+            if pick & ~plane:
+                pick &= ~plane
+    return (pick & -pick).bit_length() - 1
 
 
 def _implied(
@@ -201,8 +242,9 @@ def _search(
     nodes = 0
     max_nodes = MAX_NODES
 
-    def visit(uncovered: int, uncovered_b: int, allowed: int, limit: int) -> int:
-        # uncovered_b: the same requirements in the numbering of the bound
+    def visit(uncovered: int, uncovered_b: int, allowed: int, planes: list[int], limit: int) -> int:
+        # uncovered_b: the same requirements in the numbering of the bound;
+        # planes: the allowed candidate counts, shared with the children
         nonlocal nodes
         nodes += 1
         if nodes > max_nodes:
@@ -213,28 +255,29 @@ def _search(
         budget = limit - len(chosen)
         if _lower_bound(req_b, masks_b, near, uncovered_b, allowed, budget) > budget:
             return limit
-        i = _branch_requirement(req_masks, uncovered, allowed)
+        i = _branch_requirement(planes, uncovered)
         cands = req_masks[i] & allowed
-        banned = 0
         while cands:
             t = (cands & -cands).bit_length() - 1
             cands &= cands - 1
             chosen.add(t)
-            limit = visit(
-                uncovered & ~masks[t], uncovered_b & ~masks_b[t], allowed & ~banned, limit
-            )
+            limit = visit(uncovered & ~masks[t], uncovered_b & ~masks_b[t], allowed, planes, limit)
             chosen.remove(t)
             if limit < 0:  # the search has stopped: visit no sibling
                 return limit
-            banned |= 1 << t  # later branches must cover i without t
+            if cands:  # later branches must cover i without t
+                allowed &= ~(1 << t)
+                planes = _drop_count(planes, masks[t])
         return limit
 
     uncovered_b = 0
+    planes: list[int] = []
     if uncovered:
         masks_b, req_b, near, rank = _bound_space(instance)
         for i in bits(uncovered):
             uncovered_b |= 1 << rank[i]
-    return visit(uncovered, uncovered_b, allowed, limit), nodes
+        planes = _count_planes(masks, allowed)
+    return visit(uncovered, uncovered_b, allowed, planes, limit), nodes
 
 
 def minimum_cover(instance: Instance) -> OracleResult:

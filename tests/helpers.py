@@ -82,6 +82,17 @@ def packing_bound_naive(instance: Instance, uncovered: set[int], allowed: set[in
     return size
 
 
+def branch_requirement_naive(instance: Instance, uncovered: set[int], allowed: set[int]) -> int:
+    """The requirement the oracle branches on: of `uncovered`, the lowest
+    index with at most one candidate within `allowed`, else the lowest index
+    of those with the fewest."""
+    usable = {i: len(set(instance.requirements[i].candidates) & allowed) for i in uncovered}
+    scarce = [i for i in uncovered if usable[i] <= 1]
+    if scarce:
+        return min(scarce)
+    return min(uncovered, key=lambda i: (usable[i], i))
+
+
 def random_instance(rng: random.Random, max_tests: int = 16, max_requirements: int = 12) -> Instance:
     """Random solvable instance: every requirement names at least one test."""
     n = rng.randint(1, max_tests)

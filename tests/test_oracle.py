@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    branch_requirement_naive,
     brute_minimum,
     brute_minimum_covers,
     covers_naive,
@@ -23,7 +24,15 @@ from tsred import (
     validate_instance,
 )
 from tsred import oracle
-from tsred.oracle import _bound_space, _implied, _lower_bound, _reduce
+from tsred.oracle import (
+    _bound_space,
+    _branch_requirement,
+    _count_planes,
+    _drop_count,
+    _implied,
+    _lower_bound,
+    _reduce,
+)
 
 # frozen exact minima for the two larger benchmarks
 EXP4_MINIMUM = 11
@@ -329,6 +338,38 @@ def test_packing_bound_on_every_kind_of_requirement():
         assert min(bound(uncovered), inst.n + 1) == min(expected, inst.n + 1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_count_planes_match_set_reference(seed, wide):
+    """From a random allowed set, ban allowed tests one at a time in random
+    order, down to none, as the search bans its branch's siblings: after
+    every ban the planes decode to the set-based counts, the branching pick
+    equals the set-based pick on a random open set, and the planes the ban
+    started from are left as they were."""
+    rng = random.Random(seed)
+    size = 90 if wide else 12  # wide: often past 64 tests and requirements
+    inst = random_instance(rng, max_tests=size, max_requirements=size)
+    allowed = {t for t in range(inst.n) if rng.random() < 0.8}
+    planes = _count_planes(inst.test_masks, sum(1 << t for t in allowed))
+    bans = list(allowed)
+    rng.shuffle(bans)
+    for t in [None, *bans]:
+        if t is not None:
+            before = list(planes)
+            dropped = _drop_count(planes, inst.test_masks[t])
+            assert planes == before
+            planes = dropped
+            allowed.discard(t)
+        counts = [
+            sum((plane >> i & 1) << k for k, plane in enumerate(planes)) for i in range(inst.m)
+        ]
+        assert counts == [len(req.candidates & allowed) for req in inst.requirements]
+        uncovered = {i for i in range(inst.m) if rng.random() < 0.6}
+        if uncovered:
+            pick = _branch_requirement(planes, sum(1 << i for i in uncovered))
+            assert pick == branch_requirement_naive(inst, uncovered, allowed)
+
+
 def sparse_instance(
     seed: int, size: tuple[int, int] = (20, 64), candidates: tuple[int, int] = (2, 6)
 ):
@@ -447,6 +488,29 @@ def ilp_minimum(inst) -> int:
 def test_minimum_matches_integer_program(seed):
     inst = sparse_instance(seed)
     assert minimum_cover(inst).minimum_size == ilp_minimum(inst)
+
+
+# per sparse_instance(seed, size=(65, 72)): minimum_cover nodes and witness.
+# Frozen so that the search past 64 tests keeps its shape without scipy
+WIDE_SEARCH = {
+    0: (24930, "t0 t1 t2 t3 t5 t10 t13 t16 t18 t19 t20 t21 t23 t25 t33 t41 t42 t43 t47 t49 t50 t54 t61 t66 t67"),
+    1: (3020, "t3 t9 t11 t12 t13 t20 t24 t25 t26 t27 t31 t37 t41 t46 t57 t58 t64"),
+    2: (1455, "t0 t2 t3 t4 t6 t12 t14 t18 t24 t29 t39 t46 t50 t54 t59 t60 t61"),
+    3: (4286, "t2 t3 t4 t8 t16 t19 t21 t30 t34 t40 t43 t47 t48 t49 t55 t61 t67"),
+    4: (23332, "t3 t4 t7 t10 t11 t14 t20 t22 t23 t26 t33 t38 t39 t41 t45 t46 t50 t52 t61 t66 t67"),
+    5: (5802, "t2 t6 t8 t9 t10 t15 t18 t23 t26 t30 t31 t32 t34 t35 t37 t44 t54 t55 t58 t61 t62"),
+    6: (6038, "t0 t3 t5 t7 t12 t13 t14 t15 t21 t24 t26 t27 t29 t31 t34 t36 t39 t47 t50 t53 t55 t61 t62 t64"),
+    7: (5766, "t2 t8 t13 t15 t16 t17 t19 t20 t23 t24 t26 t27 t28 t33 t43 t46 t50 t53 t61 t63 t64"),
+}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_search_beyond_64_tests_is_frozen(seed):
+    inst = sparse_instance(seed, size=(65, 72))
+    best = minimum_cover(inst)
+    assert best.complete
+    assert (best.nodes, " ".join(inst.ids(sorted(best.witness)))) == WIDE_SEARCH[seed]
+    assert covers_naive(inst, best.witness)
 
 
 @pytest.mark.parametrize("seed", range(8))
