@@ -268,8 +268,8 @@ def distinct_pair(i: int, j: int) -> tuple[int, int]:
     """Two distinct positions from a draw i below n and a draw j below n - 1:
     j is moved one step up when it reaches i, so it is uniform among the rest.
 
-    Works elementwise on int arrays too: FIS passes every member's draws at
-    once, SA one pair of ints per step.
+    SA calls it once per step; FIS applies the same rule to a block of draws
+    at once (`fis._member_positions`).
     """
     return i, j + (j >= i)
 

@@ -8,14 +8,18 @@ candidate, and the rule base decides whether to keep the current operator or
 swap it for a uniformly random different one.
 
 All randomness flows from one numpy PCG64 generator seeded by the config, so
-runs are reproducible across platforms.  Each iteration takes every position
-draw of the whole population in one `rng.integers` call on a full-shape
-bounds array (one row per member, built the first time its operator comes
-into force), which yields the same values as drawing them one at a time,
-member by member; `_positions` turns the draws into every member's move
-positions at once.  A move whose lowest touched position lies at or past the
-member's covering prefix cannot change that prefix, so it is not
-re-evaluated: its objective is the member's own.
+runs are reproducible across platforms.  Position draws come a block of
+iterations at a time, in one `rng.integers` call on a full-shape bounds
+array (one row per member and iteration), which yields the same values as
+drawing them one at a time, member by member and iteration by iteration.  A
+block covers one iteration at the start and after a switch, and twice as
+many as the last one while the operator stays, up to DRAW_ROWS rows.  When
+the controller switches operator before a block is used up, the generator is
+set back to where the block began and redraws only the rows used, so the
+switch draw, and all that follow, land where per-iteration draws put them.
+A move whose lowest touched position lies at or past the member's covering
+prefix cannot change that prefix, so it is not re-evaluated: its objective
+is the member's own.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Instance, ParameterError, Solution, decode, distinct_pair, objective, swap_at
+from .core import Instance, ParameterError, Solution, decode, objective, swap_at
 from .fuzzy import RuleBase, default_rule_base, infer
 
 OPERATORS: tuple[str, ...] = ("swap", "insertion", "reversal", "crossover")
@@ -35,6 +39,9 @@ OPERATORS: tuple[str, ...] = ("swap", "insertion", "reversal", "crossover")
 # evaluations (population_size x max_iterations) one run may ask for.
 MEASURES = frozenset({"quality", "intensification", "diversification"})
 MAX_EVALUATIONS = 1_000_000
+# Most rows of draws (one per member and iteration) one rng.integers call
+# makes, so a population of this size or more draws one iteration at a time.
+DRAW_ROWS = 1024
 
 
 class LengthMismatchError(ValueError):
@@ -130,21 +137,29 @@ def _position_bounds(op: str, n: int) -> tuple[int, ...]:
     return (n, n) if op == "insertion" else (n, n - 1)
 
 
-def _positions(op: str, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every member's positions for `move`, as arrays i and j, from a
-    (members, k) array of draws below `_position_bounds`.
+def _member_positions(op: str, draws: np.ndarray) -> tuple[list[int], list[int]]:
+    """Every member's positions for `move`, as lists i and j, from a
+    (members, k) array of draws whose last two columns lie below
+    `_position_bounds` (crossover's mate draws come first).
 
-    Without draws (a single position) each member gets (0, 0), which moves
-    nothing.
+    Insertion takes its two draws as they are.  The other operators move j
+    one step up when it reaches i, the rule of `core.distinct_pair`, written
+    out here because a call per member costs more than the whole list does;
+    reversal and crossover then order the pair.  Without position draws (a
+    single position) each member gets (0, 0), which moves nothing.
     """
-    if not draws.shape[1]:
-        zeros = np.zeros(len(draws), np.int64)
+    if draws.shape[1] < 2:
+        zeros = [0] * len(draws)
         return zeros, zeros
-    i, j = draws[:, 0], draws[:, 1]
+    firsts, seconds = draws[:, -2:].T.tolist()
     if op == "insertion":
-        return i, j
-    i, j = distinct_pair(i, j)
-    return (i, j) if op == "swap" else (np.minimum(i, j), np.maximum(i, j))
+        return firsts, seconds
+    if op == "swap":
+        return firsts, [j + 1 if j >= i else j for i, j in zip(firsts, seconds)]
+    return (
+        [j if j < i else i for i, j in zip(firsts, seconds)],
+        [j + 1 if j >= i else i for i, j in zip(firsts, seconds)],
+    )
 
 
 @dataclass(frozen=True)
@@ -189,26 +204,37 @@ def run_fis(instance: Instance, config: FISConfig | None = None) -> FISResult:
     best_idx = min(range(len(population)), key=objectives.__getitem__)
     best_perm, best_obj = population[best_idx], objectives[best_idx]
     current_op = OPERATORS[int(rng.integers(len(OPERATORS)))]
-    # Per operator, the bounds of every member's draws (crossover's mate
-    # draw, then the move's position draws), one row per member.
+    # Per operator, the bounds of the longest block's rows of draws
+    # (crossover's mate draw, then the move's position draws).
+    longest = max(1, DRAW_ROWS // size)  # iterations
     bounds: dict[str, np.ndarray] = {}
+    span = 1  # iterations the next block covers
+    # The current block's move positions (and crossover's mates), one per
+    # row, and how many of its rows the iterations so far took.
+    i_all: list[int] = []
+    used = 0
 
     history: list[int] = []
     op_log: list[str] = []
-    for _ in range(cfg.max_iterations):
+    for t in range(cfg.max_iterations):
         op_log.append(current_op)
         iter_perm: tuple[int, ...] | None = None
         iter_obj = n + 1
         crossover = current_op == "crossover"
-        if current_op not in bounds:
-            row = ((size,) if crossover else ()) + _position_bounds(current_op, n)
-            bounds[current_op] = np.full((size, len(row)), row, np.int64)
-        draws = rng.integers(bounds[current_op])
-        mates = draws[:, 0].tolist() if crossover else None
-        i_all, j_all = _positions(current_op, draws[:, 1:] if crossover else draws)
-        for k, (i, j) in enumerate(zip(i_all.tolist(), j_all.tolist())):
+        if used == len(i_all):
+            if current_op not in bounds:
+                row = ((size,) if crossover else ()) + _position_bounds(current_op, n)
+                bounds[current_op] = np.full((longest * size, len(row)), row, np.int64)
+            saved = rng.bit_generator.state
+            block = min(span, cfg.max_iterations - t) * size
+            draws = rng.integers(bounds[current_op][:block])
+            mates = draws[:, 0].tolist() if crossover else []
+            i_all, j_all = _member_positions(current_op, draws)
+            used, span = 0, min(2 * span, longest)
+        end = used + size
+        for k, i, j in zip(range(size), i_all[used:end], j_all[used:end]):
             member, own = population[k], objectives[k]
-            mate = population[mates[k]] if crossover else member
+            mate = population[mates[used + k]] if crossover else member
             if not crossover and (i if i < j else j) >= own:
                 # the move leaves the covering prefix, and so the objective, alone
                 if own < iter_obj:
@@ -221,6 +247,7 @@ def run_fis(instance: Instance, config: FISConfig | None = None) -> FISResult:
             if cand_obj < own:
                 population[k], objectives[k] = candidate, cand_obj
                 rows[k] = candidate
+        used = end
 
         # The controller keeps the operator iff its crisp decision is at least
         # 0.5; below, a different one is drawn uniformly from the rest.
@@ -236,6 +263,12 @@ def run_fis(instance: Instance, config: FISConfig | None = None) -> FISResult:
             best_perm, best_obj = iter_perm, iter_obj
         history.append(best_obj)
         if crisp < 0.5:
+            if used < len(i_all):
+                # Rewind the block and replay only the rows used, so that
+                # the switch draw comes where per-iteration draws put it.
+                rng.bit_generator.state = saved
+                rng.integers(bounds[current_op][:used])
+            i_all, used, span = [], 0, 1
             others = [op for op in OPERATORS if op != current_op]
             current_op = others[int(rng.integers(len(others)))]
 

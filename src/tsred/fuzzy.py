@@ -20,7 +20,7 @@ from .core import ParameterError
 # Largest centroid grid a rule base may ask for; every inference step
 # aggregates over the whole grid, so it bounds both memory and time.
 MAX_SAMPLES = 100_001
-# Most consequent-level tuples one rule base remembers the crisp output of.
+# Most entries each of infer's two memos holds per rule base.
 MEMO_SIZE = 4096
 
 
@@ -153,6 +153,12 @@ class RuleBase:
         order; it holds at most MEMO_SIZE entries."""
         return {}
 
+    @cached_property
+    def _crisp_by_inputs(self) -> dict[tuple[float, ...], float]:
+        """infer's first memo: crisp output by input values, in `inputs`
+        order; it holds at most MEMO_SIZE entries."""
+        return {}
+
 
 def rule_activations(rb: RuleBase, inputs: Mapping[str, float]) -> tuple[float, ...]:
     """Activation of each rule: min over its antecedent memberships."""
@@ -198,9 +204,16 @@ def centroid(mu: np.ndarray, grid: np.ndarray | None = None) -> float:
 def infer(rb: RuleBase, inputs: Mapping[str, float]) -> float:
     """Crisp output in [0, 1] for the given input assignment.
 
-    The defuzzified output depends on the inputs only through the
-    consequent levels, so it is memoised per rule base on those levels.
+    Memoised per rule base twice: on the values of its input variables,
+    which skips rule activation when they repeat, and on the consequent
+    levels, through which alone the defuzzified output depends on the
+    inputs.  Only an evaluation that succeeded is remembered, so a missing
+    or out-of-range input raises however often its fellows were seen.
     """
+    values = tuple([inputs.get(var) for var in rb.inputs])
+    crisp = rb._crisp_by_inputs.get(values)
+    if crisp is not None:
+        return crisp
     levels = consequent_levels(rb, rule_activations(rb, inputs))
     key = tuple(levels.values())
     crisp = rb._crisp.get(key)
@@ -208,6 +221,8 @@ def infer(rb: RuleBase, inputs: Mapping[str, float]) -> float:
         crisp = centroid(aggregate(rb, levels), rb.grid)
         if len(rb._crisp) < MEMO_SIZE:
             rb._crisp[key] = crisp
+    if len(rb._crisp_by_inputs) < MEMO_SIZE:
+        rb._crisp_by_inputs[values] = crisp
     return crisp
 
 

@@ -264,20 +264,47 @@ UNIT = st.sampled_from([0.0, 0.2, 0.35, 0.5, 0.65, 0.8, 1.0]) | st.floats(0, 1)
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 2), UNIT, UNIT, UNIT), min_size=1, max_size=20))
 def test_infer_memo_matches_uncached_inference(calls):
-    # three rule bases interleaved: the same level tuple looked up in
-    # another rule base must not return that rule base's output
-    bases = (default_rule_base(), default_rule_base(2001), RESHAPED)
-    for which, q, i, d in calls:
-        rb = bases[which]
-        inputs = {"quality": q, "intensification": i, "diversification": d}
-        assert infer(rb, inputs).hex() == uncached_infer(rb, inputs).hex()
-        assert len(rb._crisp) <= MEMO_SIZE
+    # three rule bases interleaved: the same level tuple or input tuple
+    # looked up in another rule base must not return that rule base's
+    # output; fresh copies start with empty memos, so the second pass, which
+    # repeats every input assignment, is answered from the input memo
+    bases = [replace(rb) for rb in (default_rule_base(), default_rule_base(2001), RESHAPED)]
+    for repeat in (False, True):
+        for which, q, i, d in calls:
+            rb = bases[which]
+            inputs = {"quality": q, "intensification": i, "diversification": d}
+            if repeat:  # keyed in the order of rb.inputs
+                assert (q, i, d) in rb._crisp_by_inputs
+            assert infer(rb, inputs).hex() == uncached_infer(rb, inputs).hex()
+            assert len(rb._crisp) <= MEMO_SIZE
+            assert len(rb._crisp_by_inputs) <= MEMO_SIZE
 
 
 def test_infer_memo_stops_growing_at_its_cap(monkeypatch):
     monkeypatch.setattr(fuzzy, "MEMO_SIZE", 3)
-    rb = replace(default_rule_base())  # a fresh object, with an empty memo
-    for q in np.linspace(0.0, 1.0, 11).tolist():
+    rb = replace(default_rule_base())  # a fresh object, with empty memos
+    qualities = np.linspace(0.0, 1.0, 11).tolist()
+    for q in qualities + qualities:
         inputs = {"quality": q, "intensification": 0.5, "diversification": 0.5}
         assert infer(rb, inputs) == uncached_infer(rb, inputs)
     assert len(rb._crisp) == 3
+    assert len(rb._crisp_by_inputs) == 3
+
+
+def test_infer_refuses_bad_inputs_whose_fellows_were_memoised():
+    rb = replace(default_rule_base())
+    seen = {"quality": 0.5, "intensification": 0.25, "diversification": 0.75}
+    infer(rb, seen)
+    with pytest.raises(MissingInputError) as missing:
+        infer(rb, {"quality": 0.5, "intensification": 0.25})
+    assert missing.value.variable == "diversification"
+    for bad in (1.5, -0.25, float("nan")):
+        with pytest.raises(FuzzyDomainError):
+            infer(rb, {**seen, "diversification": bad})
+    # a rule base reading one variable is keyed on it alone, extra inputs aside
+    one = RuleBase({"quality": rb.inputs["quality"]}, rb.output, rb.rules[:1])
+    assert infer(one, {"quality": 0.9, "speed": 3.0}) == infer(one, {"quality": 0.9})
+    with pytest.raises(MissingInputError):
+        infer(one, {"speed": 3.0})
+    assert list(rb._crisp_by_inputs) == [(0.5, 0.25, 0.75)]
+    assert list(one._crisp_by_inputs) == [(0.9,)]

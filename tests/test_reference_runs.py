@@ -1,21 +1,24 @@
 """FIS and SA against their plain-loop references in helpers.py.
 
-run_fis takes each iteration's position draws in one batched call, skips
-the evaluation of moves that leave the covering prefix alone and scans any
-other candidate's prefix only up to a bound; SA skips the evaluation of
-swaps past the prefix.  Neither may change a result: for a given seed the
-solution, the history and the operator log must equal those of the plain
-loops, which evaluate every candidate.  The FIS reference draws one scalar
+run_fis takes its position draws a block of iterations at a time and
+rewinds the block when the operator switches, skips the evaluation of moves
+that leave the covering prefix alone and scans any other candidate's prefix
+only up to a bound; SA skips the evaluation of swaps past the prefix.
+Neither may change a result: for a given seed the solution, the history and
+the operator log must equal those of the plain loops, which evaluate every
+candidate.  The FIS reference draws one scalar
 at a time; the SA reference takes its swap positions in blocks of
 helpers.SA_BLOCK pairs, as the annealer does, from code of its own.
 """
 
+import itertools
 import random
 
 import pytest
 
+import helpers
 from helpers import DECISION, always_change, fis_reference, sa_reference
-from tsred import FISConfig, SAParams, builtin, run_fis, simulated_annealing, validate_instance
+from tsred import FISConfig, SAParams, builtin, fis, run_fis, simulated_annealing, validate_instance
 from tsred.corpus import builtin_names
 from tsred.fuzzy import LinguisticVariable, Rule, RuleBase, Trapezoid
 
@@ -58,6 +61,7 @@ def assert_fis_matches(instance, config: FISConfig):
     assert result.solution == solution
     assert result.history == history
     assert result.operators == operators
+    return result
 
 
 def assert_sa_matches(instance, params: SAParams):
@@ -107,3 +111,36 @@ def test_fis_matches_reference_when_switching_on_worse_iterations(name):
     instance = EDGE[name] if name in EDGE else builtin(name)
     for seed in range(1, 6):
         assert_fis_matches(instance, FISConfig(seed=seed, rule_base=change_when_worse()))
+
+
+def scripted(switches):
+    """A stand-in for `infer` that asks for a switch after each iteration in
+    `switches` (counted from 0) and to keep the operator after every other."""
+    calls = itertools.count()
+    return lambda rb, inputs: 0.0 if next(calls) in switches else 1.0
+
+
+# A block covers one iteration at the start and after a switch, and twice as
+# many as the last while the operator stays, up to fis.DRAW_ROWS rows.  One
+# switch at each iteration, and two at each pair of the first ten, put a
+# switch at iteration 0, on the last iteration of a block, on the first of
+# the next, inside one, and twice in a row.
+@pytest.mark.parametrize(
+    "size, iterations",
+    [
+        (2, 20),  # blocks of 1, 2, 4 and 8 iterations
+        (7, 20),  # the same, 7 rows an iteration
+        (fis.DRAW_ROWS // 2, 5),  # blocks of one or two iterations
+        (fis.DRAW_ROWS + 1, 3),  # one iteration a block
+    ],
+)
+def test_fis_rewinds_to_the_per_iteration_stream_at_any_switch(monkeypatch, tiny, size, iterations):
+    schedules = [{t} for t in range(iterations)]
+    schedules += [set(pair) for pair in itertools.combinations(range(min(iterations, 10)), 2)]
+    for k, switches in enumerate(schedules):
+        monkeypatch.setattr(fis, "infer", scripted(switches))
+        monkeypatch.setattr(helpers, "infer", scripted(switches))
+        config = FISConfig(population_size=size, max_iterations=iterations, seed=k)
+        ops = assert_fis_matches(tiny, config).operators
+        changed = {t for t in range(iterations - 1) if ops[t] != ops[t + 1]}
+        assert changed == {t for t in switches if t < iterations - 1}
