@@ -22,10 +22,10 @@ from .core import (
     best_gain,
     coverage,
     decode,
-    distinct_pair,
     essential_tests,
     greedy_fill,
     objective,
+    step_over,
     swap_at,
     undominated,
 )
@@ -111,17 +111,16 @@ BLOCK = 256  # swap-position pairs drawn per rng.integers call
 class SAParams:
     alpha: float = 0.990
     t_initial: float = 2984.975
-    t_final: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError("alpha must lie strictly between 0 and 1")
-        if not 0.0 <= self.t_final < self.t_initial < math.inf:
-            raise ParameterError("need a finite t_initial > t_final >= 0")
+        if not 0.0 < self.t_initial < math.inf:
+            raise ParameterError("t_initial must be finite and above 0")
         if self.seed < 0:
             raise ParameterError("seed must not be negative")
-        steps = math.log(max(self.t_final, STOP_FLOOR) / self.t_initial) / math.log(self.alpha)
+        steps = math.log(STOP_FLOOR / self.t_initial) / math.log(self.alpha)
         if steps > MAX_STEPS:
             raise ParameterError(
                 f"cooling schedule takes about {steps:.3g} steps; the limit is {MAX_STEPS}"
@@ -138,8 +137,8 @@ def _swap_positions(rng: np.random.Generator, n: int) -> Iterator[tuple[int, int
     """Endless distinct position pairs below n (n >= 2), drawn BLOCK pairs
     at a time, so memory stays O(BLOCK) whatever the schedule's length."""
     while True:
-        for i, j in rng.integers((n, n - 1), size=(BLOCK, 2)).tolist():
-            yield distinct_pair(i, j)
+        firsts, seconds = rng.integers((n, n - 1), size=(BLOCK, 2)).T.tolist()
+        yield from zip(firsts, step_over(firsts, seconds))
 
 
 def simulated_annealing(instance: Instance, params: SAParams | None = None) -> SAResult:
@@ -147,7 +146,7 @@ def simulated_annealing(instance: Instance, params: SAParams | None = None) -> S
 
     One proposal per temperature; improving moves are always taken, worse
     ones with probability exp(-delta/T).  Cooling stops once T falls to
-    max(t_final, 0.001), which for the default schedule is roughly 1.5e3
+    STOP_FLOOR (0.001), which for the default schedule is roughly 1.5e3
     steps.  The best permutation ever seen is decoded and returned.
 
     The swap positions come from `_swap_positions`, BLOCK pairs per draw;
@@ -160,11 +159,10 @@ def simulated_annealing(instance: Instance, params: SAParams | None = None) -> S
     current = tuple(int(v) for v in rng.permutation(n))
     current_obj = objective(instance, current)
     best, best_obj = current, current_obj
-    stop = max(p.t_final, STOP_FLOOR)
     temperature = p.t_initial
     history: list[int] = []
     positions = _swap_positions(rng, n)  # draws nothing until first asked
-    while temperature > stop:
+    while temperature > STOP_FLOOR:
         if n >= 2:
             i, j = next(positions)
             candidate = swap_at(current, i, j)

@@ -264,14 +264,14 @@ def swap_at(p: Sequence[int], i: int, j: int) -> tuple[int, ...]:
     return tuple(q)
 
 
-def distinct_pair(i: int, j: int) -> tuple[int, int]:
-    """Two distinct positions from a draw i below n and a draw j below n - 1:
-    j is moved one step up when it reaches i, so it is uniform among the rest.
+def step_over(firsts: Sequence[int], seconds: Sequence[int]) -> list[int]:
+    """Second positions distinct from the first ones, pair by pair: from a
+    draw i below n and a draw j below n - 1, j is moved one step up when it
+    reaches i, so it is uniform among the other n - 1 positions.
 
-    SA calls it once per step; FIS applies the same rule to a block of draws
-    at once (`fis._member_positions`).
+    SA applies it to a block of steps' draws, FIS to a block of members'.
     """
-    return i, j + (j >= i)
+    return [j + 1 if j >= i else j for i, j in zip(firsts, seconds)]
 
 
 def reduction_percent(n: int, k: int) -> str:

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Instance, ParameterError, Solution, decode, objective, swap_at
+from .core import Instance, ParameterError, Solution, decode, objective, step_over, swap_at
 from .fuzzy import RuleBase, default_rule_base, infer
 
 OPERATORS: tuple[str, ...] = ("swap", "insertion", "reversal", "crossover")
@@ -142,11 +142,10 @@ def _member_positions(op: str, draws: np.ndarray) -> tuple[list[int], list[int]]
     (members, k) array of draws whose last two columns lie below
     `_position_bounds` (crossover's mate draws come first).
 
-    Insertion takes its two draws as they are.  The other operators move j
-    one step up when it reaches i, the rule of `core.distinct_pair`, written
-    out here because a call per member costs more than the whole list does;
-    reversal and crossover then order the pair.  Without position draws (a
-    single position) each member gets (0, 0), which moves nothing.
+    Insertion takes its two draws as they are.  The other operators make j
+    distinct from i by `core.step_over`; reversal and crossover then order
+    the pair.  Without position draws (a single position) each member gets
+    (0, 0), which moves nothing.
     """
     if draws.shape[1] < 2:
         zeros = [0] * len(draws)
@@ -154,11 +153,12 @@ def _member_positions(op: str, draws: np.ndarray) -> tuple[list[int], list[int]]
     firsts, seconds = draws[:, -2:].T.tolist()
     if op == "insertion":
         return firsts, seconds
+    seconds = step_over(firsts, seconds)
     if op == "swap":
-        return firsts, [j + 1 if j >= i else j for i, j in zip(firsts, seconds)]
+        return firsts, seconds
     return (
         [j if j < i else i for i, j in zip(firsts, seconds)],
-        [j + 1 if j >= i else i for i, j in zip(firsts, seconds)],
+        [i if j < i else j for i, j in zip(firsts, seconds)],
     )
 
 

@@ -188,13 +188,11 @@ def aggregate(rb: RuleBase, levels: Mapping[str, float]) -> np.ndarray:
     return curve
 
 
-def centroid(mu: np.ndarray, grid: np.ndarray | None = None) -> float:
-    """Centroid of a membership curve sampled uniformly over [0, 1].
+def centroid(mu: np.ndarray, grid: np.ndarray) -> float:
+    """Centroid of a membership curve sampled at the points `grid`.
 
     Returns 0.5 when the curve is identically zero (no rule fired).
     """
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, len(mu))
     total = float(mu.sum())
     if total == 0.0:
         return 0.5
@@ -254,12 +252,12 @@ _DEFAULT_RULES = (
 
 
 @lru_cache
-def default_rule_base(samples: int = 1001) -> RuleBase:
+def default_rule_base() -> RuleBase:
     """The built-in operator-selection rules over quality, intensification
     and diversification.  High quality or high diversity argues for keeping
     the current operator; poor quality with little diversity argues for a
-    change.  Cached per `samples`: every caller shares one object, which
-    is read-only apart from `infer`'s memo."""
+    change.  Cached: every caller shares one object, which is read-only
+    apart from `infer`'s memo."""
     return RuleBase(
         inputs={
             "quality": LinguisticVariable(
@@ -277,5 +275,4 @@ def default_rule_base(samples: int = 1001) -> RuleBase:
             {"Change": Trapezoid(0.0, 0.0, 0.3, 0.5), "Maintain": Trapezoid(0.5, 0.7, 1.0, 1.0)},
         ),
         rules=_DEFAULT_RULES,
-        samples=samples,
     )

@@ -321,11 +321,11 @@ def always_change() -> RuleBase:
 SA_BLOCK = 256  # swap-position pairs per rng.integers call, as in the annealer
 
 
-def sa_reference(instance: Instance, alpha, t_initial, t_final=0.0, seed=0):
+def sa_reference(instance: Instance, alpha, t_initial, seed=0):
     """Swap annealing with every proposal evaluated, cooling until T falls
-    to max(t_final, 0.001).  Positions come SA_BLOCK (i, j) pairs at a time
-    from one rng.integers call, i below n and j below n - 1 (j steps over
-    i); rng.random() is drawn in between, for worsening moves only.
+    to 0.001.  Positions come SA_BLOCK (i, j) pairs at a time from one
+    rng.integers call, i below n and j below n - 1 (j steps over i);
+    rng.random() is drawn in between, for worsening moves only.
     Returns (solution, history)."""
     rng = np.random.default_rng(seed)
     n = instance.n
@@ -336,7 +336,7 @@ def sa_reference(instance: Instance, alpha, t_initial, t_final=0.0, seed=0):
     temperature = t_initial
     history = []
     pending = []  # the current block's pairs still to use, last one first
-    while temperature > max(t_final, 0.001):
+    while temperature > 0.001:
         if n >= 2:
             if not pending:
                 pending = rng.integers([n, n - 1], size=(SA_BLOCK, 2)).tolist()[::-1]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import covers_naive, ge_naive, prefix_by_scan, random_instance
+from helpers import _distinct_pair, covers_naive, ge_naive, prefix_by_scan, random_instance
 from tsred import (
     InvalidInstanceError,
     decode,
@@ -15,7 +15,7 @@ from tsred import (
     reduction_percent,
     validate_instance,
 )
-from tsred.core import coverage, essential_tests, greedy_fill
+from tsred.core import coverage, essential_tests, greedy_fill, step_over
 
 
 def test_instance_basics(tiny):
@@ -125,6 +125,40 @@ def test_decode_matches_naive_prefix_scan(seed):
     assert sol.prefix_len == prefix_by_scan(inst, perm)
     assert covers_naive(inst, sol.selected)
     assert is_cover(inst, sol.selected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 300), st.data())
+def test_step_over_maps_the_second_draws_onto_the_other_positions(n, data):
+    # every second draw j below n - 1 lands on a different position below n
+    # other than i, so a uniform j gives a uniform second position
+    i = data.draw(st.integers(0, n - 1))
+    seconds = step_over([i] * (n - 1), range(n - 1))
+    assert len(seconds) == n - 1
+    assert set(seconds) == set(range(n)) - {i}
+
+
+class ScriptedDraws:
+    """Stands in for a numpy Generator whose integers() returns given values."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def integers(self, high):
+        value = next(self.values)
+        assert 0 <= value < high
+        return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 40), st.data())
+def test_step_over_equals_the_scalar_rule_pair_by_pair(n, data):
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2))
+    pairs = data.draw(st.lists(pair, max_size=50))
+    rng = ScriptedDraws([v for ij in pairs for v in ij])
+    firsts = [i for i, _ in pairs]
+    got = list(zip(firsts, step_over(firsts, [j for _, j in pairs])))
+    assert got == [_distinct_pair(rng, n) for _ in pairs]
 
 
 def test_greedy_fill_stops_when_the_pool_covers_no_more():

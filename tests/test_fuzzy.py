@@ -152,7 +152,7 @@ def test_aggregate_clips_and_merges():
 
 
 def test_centroid_zero_aggregate_falls_back_to_midpoint():
-    assert centroid(np.zeros(1001)) == 0.5
+    assert centroid(np.zeros(1001), default_rule_base().grid) == 0.5
 
 
 def test_centroid_of_full_maintain_matches_exact_value():
@@ -169,7 +169,7 @@ def test_centroid_of_symmetric_aggregate_sits_on_axis():
 
 def test_centroid_grid_refinement_is_stable():
     coarse = default_rule_base()
-    fine = default_rule_base(samples=10001)
+    fine = replace(coarse, samples=10001)
     mu_c = coarse.output.terms["Maintain"].curve(coarse.grid)
     mu_f = fine.output.terms["Maintain"].curve(fine.grid)
     assert abs(centroid(mu_c, coarse.grid) - centroid(mu_f, fine.grid)) < 1e-3
@@ -268,7 +268,8 @@ def test_infer_memo_matches_uncached_inference(calls):
     # looked up in another rule base must not return that rule base's
     # output; fresh copies start with empty memos, so the second pass, which
     # repeats every input assignment, is answered from the input memo
-    bases = [replace(rb) for rb in (default_rule_base(), default_rule_base(2001), RESHAPED)]
+    default = default_rule_base()
+    bases = [replace(default), replace(default, samples=2001), replace(RESHAPED)]
     for repeat in (False, True):
         for which, q, i, d in calls:
             rb = bases[which]

@@ -66,9 +66,7 @@ def assert_fis_matches(instance, config: FISConfig):
 
 def assert_sa_matches(instance, params: SAParams):
     result = simulated_annealing(instance, params)
-    solution, history = sa_reference(
-        instance, params.alpha, params.t_initial, params.t_final, params.seed
-    )
+    solution, history = sa_reference(instance, params.alpha, params.t_initial, params.seed)
     assert result.solution == solution
     assert result.history == history
 
