@@ -116,8 +116,8 @@ class SAParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError("alpha must lie strictly between 0 and 1")
-        if not 0.0 < self.t_initial < math.inf:
-            raise ParameterError("t_initial must be finite and above 0")
+        if not STOP_FLOOR < self.t_initial < math.inf:
+            raise ParameterError(f"t_initial must be finite and above the stop floor {STOP_FLOOR}")
         if self.seed < 0:
             raise ParameterError("seed must not be negative")
         steps = math.log(STOP_FLOOR / self.t_initial) / math.log(self.alpha)

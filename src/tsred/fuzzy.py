@@ -137,17 +137,6 @@ class RuleBase:
         return {name: trap.curve(self.grid) for name, trap in self.output.terms.items()}
 
     @cached_property
-    def _clauses(self) -> tuple[list[tuple[str, Trapezoid]], list[tuple[int, ...]]]:
-        """Each distinct (variable, term) clause once, in order of first use,
-        as (variable, term shape); and per rule the indices of its clauses."""
-        index: dict[tuple[str, str], int] = {}
-        for rule in self.rules:
-            for clause in rule.antecedent:
-                index.setdefault(clause, len(index))
-        shapes = [(var, self.inputs[var].terms[term]) for var, term in index]
-        return shapes, [tuple(index[clause] for clause in rule.antecedent) for rule in self.rules]
-
-    @cached_property
     def _crisp(self) -> dict[tuple[float, ...], float]:
         """infer's memo: crisp output by consequent levels, in output-term
         order; it holds at most MEMO_SIZE entries."""
@@ -165,9 +154,10 @@ def rule_activations(rb: RuleBase, inputs: Mapping[str, float]) -> tuple[float, 
     for var in rb.inputs:
         if var not in inputs:
             raise MissingInputError(var)
-    shapes, rule_clauses = rb._clauses
-    degree = [shape.membership(inputs[var]) for var, shape in shapes]
-    return tuple(min([degree[k] for k in clauses]) for clauses in rule_clauses)
+    return tuple(
+        min([rb.inputs[var].terms[term].membership(inputs[var]) for var, term in rule.antecedent])
+        for rule in rb.rules
+    )
 
 
 def consequent_levels(rb: RuleBase, activations: Sequence[float]) -> dict[str, float]:

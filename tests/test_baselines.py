@@ -23,6 +23,7 @@ from tsred import (
     validate_instance,
 )
 from tsred import bench
+from tsred.baselines import STOP_FLOOR
 
 
 def ids(instance, selection):
@@ -149,6 +150,11 @@ class TestSimulatedAnnealing:
             SAParams(t_initial=0.0)
         with pytest.raises(ParameterError, match="t_initial"):
             SAParams(t_initial=-1.0)
+        # at or below the stop floor the schedule would anneal zero steps
+        with pytest.raises(ParameterError, match="t_initial"):
+            SAParams(t_initial=STOP_FLOOR)
+        with pytest.raises(ParameterError, match="t_initial"):
+            SAParams(t_initial=0.0005)
         with pytest.raises(ParameterError):
             SAParams(t_initial=float("inf"))
         with pytest.raises(ParameterError, match="seed"):

@@ -86,6 +86,8 @@ OUT_OF_RANGE = [
     # about 7e8 cooling steps: refused before the first one
     ("solve", "--instance", EXP1, "--algorithm", "sa", "--t-initial", "1e308",
      "--alpha", "0.999999"),
+    # at the stop floor: a schedule of zero cooling steps
+    ("solve", "--instance", EXP1, "--algorithm", "sa", "--t-initial", "0.001"),
     # one run over bench.MAX_RUNS: refused before the first one
     ("solve", "--instance", EXP1, "--runs", "10001"),
     ("bench", "--runs", "10001"),

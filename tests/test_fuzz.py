@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tsred import ALGORITHMS, write_instance
+from tsred.baselines import STOP_FLOOR
 from tsred.bench import MAX_RUNS
 from tsred.cli import main
 from tsred.corpus import builtin_document
@@ -138,8 +139,8 @@ SOLVE_FLAGS = {
         flag(st.floats(max_value=0) | st.floats(min_value=1) | NAN),
     ),
     "--t-initial": (
-        st.floats(0, exclude_min=True, allow_infinity=False),
-        flag(st.floats(max_value=0) | st.just(float("inf")) | NAN),
+        st.floats(STOP_FLOOR, exclude_min=True, allow_infinity=False),
+        flag(st.floats(max_value=STOP_FLOOR) | st.just(float("inf")) | NAN),
     ),
     "--seed": (st.integers(min_value=0), flag(st.integers(max_value=-1))),
     "--runs": (

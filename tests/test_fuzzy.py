@@ -309,3 +309,57 @@ def test_infer_refuses_bad_inputs_whose_fellows_were_memoised():
         infer(one, {"speed": 3.0})
     assert list(rb._crisp_by_inputs) == [(0.5, 0.25, 0.75)]
     assert list(one._crisp_by_inputs) == [(0.9,)]
+
+
+@st.composite
+def chained_variable(draw, name):
+    """A variable of 1-3 terms whose supports chain across [0, 1]: term t
+    runs over points[2t : 2t + 4], so each overlaps the next."""
+    k = draw(st.integers(1, 3))
+    inner = draw(st.lists(st.floats(0, 1), min_size=2 * k, max_size=2 * k))
+    points = [0.0, *sorted(inner), 1.0]
+    terms = {f"T{t}": Trapezoid(*points[2 * t:2 * t + 4]) for t in range(k)}
+    return LinguisticVariable(name, terms)
+
+
+@st.composite
+def generated_rule_base(draw):
+    """1-6 rules of 1-3 clauses over 1-3 variables.  The clause pool holds at
+    most nine (variable, term) pairs, so rules often share clauses."""
+    pool = [draw(chained_variable(f"v{j}")) for j in range(draw(st.integers(1, 3)))]
+    rules = []
+    for _ in range(draw(st.integers(1, 6))):
+        used = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique_by=id))
+        clauses = {var.name: draw(st.sampled_from(sorted(var.terms))) for var in used}
+        rules.append(Rule.of(clauses, draw(st.sampled_from(["Change", "Maintain"]))))
+    referenced = {var for rule in rules for var, _ in rule.antecedent}
+    inputs = {var.name: var for var in pool if var.name in referenced}
+    return RuleBase(inputs, default_rule_base().output, tuple(rules))
+
+
+@settings(max_examples=300, deadline=None)
+@given(generated_rule_base(), st.data())
+def test_activation_is_each_rules_min_membership(rb, data):
+    inputs = {}
+    for name, var in rb.inputs.items():
+        # the term breakpoints too, where vertical edges and plateaus start
+        breaks = sorted({x for t in var.terms.values() for x in (t.a, t.b, t.c, t.d)})
+        inputs[name] = data.draw(st.sampled_from(breaks) | st.floats(0, 1))
+    want = []
+    for rule in rb.rules:
+        degrees = []
+        for var, term in rule.antecedent:
+            degrees.append(rb.inputs[var].terms[term].membership(inputs[var]))
+        want.append(min(degrees))
+    assert rule_activations(rb, inputs) == tuple(want)
+
+
+def test_first_out_of_range_clause_in_rule_order_is_named():
+    # intensification and diversification are both out of range; the second
+    # rule, (diversification High, quality Average), is the first to read
+    # either, so diversification's value is the one named
+    rb = replace(default_rule_base())
+    bad = {"quality": 0.5, "intensification": 1.5, "diversification": -0.5}
+    for call in (rule_activations, infer):
+        with pytest.raises(FuzzyDomainError, match=r"^value -0\.5 outside \[0, 1\]$"):
+            call(rb, bad)
