@@ -20,6 +20,7 @@ from .core import (
     ParameterError,
     Solution,
     best_gain,
+    check_seed,
     coverage,
     decode,
     essential_tests,
@@ -111,15 +112,12 @@ BLOCK = 256  # swap-position pairs drawn per rng.integers call
 class SAParams:
     alpha: float = 0.990
     t_initial: float = 2984.975
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError("alpha must lie strictly between 0 and 1")
         if not STOP_FLOOR < self.t_initial < math.inf:
             raise ParameterError(f"t_initial must be finite and above the stop floor {STOP_FLOOR}")
-        if self.seed < 0:
-            raise ParameterError("seed must not be negative")
         steps = math.log(STOP_FLOOR / self.t_initial) / math.log(self.alpha)
         if steps > MAX_STEPS:
             raise ParameterError(
@@ -141,8 +139,11 @@ def _swap_positions(rng: np.random.Generator, n: int) -> Iterator[tuple[int, int
         yield from zip(firsts, step_over(firsts, seconds))
 
 
-def simulated_annealing(instance: Instance, params: SAParams | None = None) -> SAResult:
-    """Swap-neighborhood annealing on permutations with geometric cooling.
+def simulated_annealing(
+    instance: Instance, params: SAParams | None = None, seed: int = 0
+) -> SAResult:
+    """Swap-neighborhood annealing on permutations with geometric cooling,
+    under `params` (the default SAParams when None) and seeded by `seed`.
 
     One proposal per temperature; improving moves are always taken, worse
     ones with probability exp(-delta/T).  Cooling stops once T falls to
@@ -153,8 +154,9 @@ def simulated_annealing(instance: Instance, params: SAParams | None = None) -> S
     the acceptance draw `rng.random()` is taken one step at a time, only for
     worsening moves, so it falls between the blocks in the random stream.
     """
+    check_seed(seed)
     p = params or SAParams()
-    rng = np.random.default_rng(p.seed)
+    rng = np.random.default_rng(seed)
     n = instance.n
     current = tuple(int(v) for v in rng.permutation(n))
     current_obj = objective(instance, current)

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .baselines import SAParams, greedy_ge, greedy_gre, hgs, simulated_annealing
-from .core import ALGORITHMS, Instance, ParameterError, is_cover
+from .core import ALGORITHMS, Instance, ParameterError, check_seed, is_cover
 from .corpus import builtin, builtin_names
 from .fis import FISConfig, run_fis
 from .io import RunReport, RunResult, write_json
@@ -18,9 +18,8 @@ MAX_RUNS = 10_000  # most runs one report or sweep may ask for per (instance, al
 
 
 def check_runs(seed: int, runs: int) -> None:
-    """Refuse a negative seed or a run count outside [1, MAX_RUNS]."""
-    if seed < 0:
-        raise ParameterError("seed must not be negative")
+    """Refuse a negative seed (`check_seed`) or a run count outside [1, MAX_RUNS]."""
+    check_seed(seed)
     if not 1 <= runs <= MAX_RUNS:
         raise ParameterError(f"runs must lie in [1, {MAX_RUNS}]")
 
@@ -36,18 +35,16 @@ def run_algorithm(
     """One run of a reducer; returns selected test ids in selection order.
 
     FIS runs with `fis_config` and SA with `sa_params` (their defaults when
-    None); the run's `seed` replaces the config's own.  Reducers are looked
-    up as module globals at call time, so replacing one here (to trace or
-    observe it) takes effect.  Every result is re-checked with is_cover
-    before it is handed back, so a broken reducer fails loudly instead of
-    producing a bogus report.
+    None), both handed over as they are, with the run's `seed` as their own
+    argument.  Reducers are looked up as module globals at call time, so
+    replacing one here (to trace or observe it) takes effect.  Every result
+    is re-checked with is_cover before it is handed back, so a broken
+    reducer fails loudly instead of producing a bogus report.
     """
     if algorithm == "fis":
-        config = replace(fis_config or FISConfig(), seed=seed)
-        selected = run_fis(instance, config).solution.selected
+        selected = run_fis(instance, fis_config, seed=seed).solution.selected
     elif algorithm == "sa":
-        params = replace(sa_params or SAParams(), seed=seed)
-        selected = simulated_annealing(instance, params).solution.selected
+        selected = simulated_annealing(instance, sa_params, seed=seed).solution.selected
     elif algorithm in ALGORITHMS:
         selected = {"ge": greedy_ge, "gre": greedy_gre, "hgs": hgs}[algorithm](instance)
     else:

@@ -42,6 +42,12 @@ class ParameterError(ValueError):
     """A run parameter (solver setting, run count, enumeration cap) is out of range."""
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a negative run seed; every seeded entry point calls this."""
+    if seed < 0:
+        raise ParameterError("seed must not be negative")
+
+
 class InvalidInstanceError(ValueError):
     """Candidate instance data violates the instance invariants."""
 

@@ -7,8 +7,8 @@ iteration three search measures are computed from the iteration's best
 candidate, and the rule base decides whether to keep the current operator or
 swap it for a uniformly random different one.
 
-All randomness flows from one numpy PCG64 generator seeded by the config, so
-runs are reproducible across platforms.  Position draws come a block of
+All randomness flows from one numpy PCG64 generator seeded by the run's seed,
+so runs are reproducible across platforms.  Position draws come a block of
 iterations at a time, in one `rng.integers` call on a full-shape bounds
 array (one row per member and iteration), which yields the same values as
 drawing them one at a time, member by member and iteration by iteration.  A
@@ -30,7 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Instance, ParameterError, Solution, decode, objective, step_over, swap_at
+from .core import (
+    Instance, ParameterError, Solution, check_seed, decode, objective, step_over, swap_at
+)
 from .fuzzy import RuleBase, default_rule_base, infer
 
 OPERATORS: tuple[str, ...] = ("swap", "insertion", "reversal", "crossover")
@@ -166,7 +168,6 @@ def _member_positions(op: str, draws: np.ndarray) -> tuple[list[int], list[int]]
 class FISConfig:
     population_size: int = 20
     max_iterations: int = 100
-    seed: int = 0
     rule_base: RuleBase | None = None
 
     def __post_init__(self):
@@ -178,8 +179,6 @@ class FISConfig:
             raise ParameterError(
                 f"population_size x max_iterations must not exceed {MAX_EVALUATIONS}"
             )
-        if self.seed < 0:
-            raise ParameterError("seed must not be negative")
         if self.rule_base is not None and not MEASURES.issuperset(self.rule_base.inputs):
             raise ParameterError(f"rule base inputs must be among {sorted(MEASURES)}")
 
@@ -191,10 +190,11 @@ class FISResult:
     operators: tuple[str, ...]  # operator in force during each iteration
 
 
-def run_fis(instance: Instance, config: FISConfig | None = None) -> FISResult:
+def run_fis(instance: Instance, config: FISConfig | None = None, seed: int = 0) -> FISResult:
+    check_seed(seed)
     cfg = config or FISConfig()
     rb = cfg.rule_base or default_rule_base()
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     n = instance.n
     size = cfg.population_size
 

@@ -52,6 +52,17 @@ def brute_minimum_covers(instance: Instance) -> list[frozenset[int]]:
     ]
 
 
+def undominated_naive(sets, pool) -> set[int]:
+    """The members t of `pool` (a set of indices into `sets`, a list of sets)
+    with no other member u whose set holds all of t's; of members with equal
+    sets only the lowest index stays."""
+    return {
+        t
+        for t in pool
+        if not any(u != t and sets[t] <= sets[u] and (sets[t] != sets[u] or u < t) for u in pool)
+    }
+
+
 def implied_naive(instance: Instance, uncovered: set[int], allowed: set[int]) -> set[int]:
     """The requirements of `uncovered` that no other one of it implies.  j
     implies i when j's candidates within `allowed` all lie inside i's; of

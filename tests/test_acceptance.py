@@ -29,8 +29,6 @@ from tsred import (
     simulated_annealing,
     solve_report,
     write_report,
-    FISConfig,
-    SAParams,
 )
 from tsred.bench import bench_suite, summary_json
 from tsred.cli import main
@@ -142,7 +140,7 @@ def test_criterion_4_fis_statistical_reproduction():
     def runner_for(inst):
         def run(seed):
             t0 = time.perf_counter()
-            res = run_fis(inst, FISConfig(seed=seed))
+            res = run_fis(inst, seed=seed)
             timings.append(time.perf_counter() - t0)
             return res.solution.prefix_len
         return run
@@ -165,7 +163,7 @@ def test_criterion_4_fis_statistical_reproduction():
 def test_criterion_5_sa_baseline():
     def runner_for(inst):
         def run(seed):
-            return simulated_annealing(inst, SAParams(seed=seed)).solution.prefix_len
+            return simulated_annealing(inst, seed=seed).solution.prefix_len
         return run
 
     hits = {}
@@ -257,8 +255,8 @@ def test_criterion_8_property_suites():
         "ge": lambda inst, seed: greedy_ge(inst),
         "gre": lambda inst, seed: greedy_gre(inst),
         "hgs": lambda inst, seed: hgs(inst),
-        "fis": lambda inst, seed: run_fis(inst, FISConfig(seed=seed)).solution.selected,
-        "sa": lambda inst, seed: simulated_annealing(inst, SAParams(seed=seed)).solution.selected,
+        "fis": lambda inst, seed: run_fis(inst, seed=seed).solution.selected,
+        "sa": lambda inst, seed: simulated_annealing(inst, seed=seed).solution.selected,
     }
     for case in range(200):
         inst = random_instance(rng, max_tests=16, max_requirements=10)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import random
 import tracemalloc
@@ -158,35 +159,35 @@ class TestSimulatedAnnealing:
         with pytest.raises(ParameterError):
             SAParams(t_initial=float("inf"))
         with pytest.raises(ParameterError, match="seed"):
-            SAParams(seed=-1)
+            simulated_annealing(builtin("experiment-1"), seed=-1)
         SAParams(alpha=0.9999, t_initial=1e30)  # about 7.6e5 steps
         with pytest.raises(ParameterError, match="steps"):
             SAParams(alpha=0.99999, t_initial=1e30)
 
     def test_default_schedule_length(self):
-        res = simulated_annealing(builtin("experiment-1"), SAParams(seed=0))
+        res = simulated_annealing(builtin("experiment-1"), seed=0)
         # 2984.975 * 0.99^k stays above the 0.001 stop floor for k = 0..1483
         assert len(res.history) == 1484
 
     def test_stop_floor_bounds_schedule(self, tiny):
-        res = simulated_annealing(tiny, SAParams(alpha=0.5, t_initial=1.0, seed=0))
+        res = simulated_annealing(tiny, SAParams(alpha=0.5, t_initial=1.0), seed=0)
         assert len(res.history) == 10
 
     def test_deterministic_per_seed(self):
         inst = builtin("experiment-3")
-        a = simulated_annealing(inst, SAParams(seed=9))
-        b = simulated_annealing(inst, SAParams(seed=9))
+        a = simulated_annealing(inst, seed=9)
+        b = simulated_annealing(inst, seed=9)
         assert a == b
 
     def test_history_tracks_best(self, tiny):
-        res = simulated_annealing(tiny, SAParams(seed=1))
+        res = simulated_annealing(tiny, seed=1)
         assert all(x >= y for x, y in zip(res.history, res.history[1:]))
         assert res.history[-1] == res.solution.prefix_len
         assert res.solution.prefix_len == 2
 
     def test_single_test_instance(self):
         inst = validate_instance("one", ["only"], [("r1", ["only"])])
-        res = simulated_annealing(inst, SAParams(seed=0))
+        res = simulated_annealing(inst, seed=0)
         assert res.solution.selected == (0,)
 
     def test_long_schedule_memory_is_bounded(self):
@@ -195,10 +196,10 @@ class TestSimulatedAnnealing:
         # one int64 array, or its list form) or listing every temperature
         # (3.7 MB) crosses the 2 MB line, drawing BLOCK pairs at a time does not.
         inst = validate_instance("three", ["a", "b", "c"], [("r1", ["a"]), ("r2", ["b", "c"])])
-        params = SAParams(alpha=0.999, t_initial=1e30, seed=1)
+        params = SAParams(alpha=0.999, t_initial=1e30)
         tracemalloc.start()
         try:
-            res = simulated_annealing(inst, params)
+            res = simulated_annealing(inst, params, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -208,13 +209,13 @@ class TestSimulatedAnnealing:
 
 def test_solve_report_runs_given_configs_at_run_seeds():
     inst = builtin("experiment-4")
-    fis_config = FISConfig(population_size=4, max_iterations=5, seed=99)
-    sa_params = SAParams(alpha=0.9, t_initial=50.0, seed=99)
+    fis_config = FISConfig(population_size=4, max_iterations=5)
+    sa_params = SAParams(alpha=0.9, t_initial=50.0)
     fis = solve_report(inst, "fis", seed=7, runs=2, fis_config=fis_config)
     sa = solve_report(inst, "sa", seed=7, runs=2, sa_params=sa_params)
     for k in range(2):
-        want_fis = run_fis(inst, FISConfig(population_size=4, max_iterations=5, seed=7 + k))
-        want_sa = simulated_annealing(inst, SAParams(alpha=0.9, t_initial=50.0, seed=7 + k))
+        want_fis = run_fis(inst, fis_config, seed=7 + k)
+        want_sa = simulated_annealing(inst, sa_params, seed=7 + k)
         assert fis.runs[k].selected == ids(inst, want_fis.solution.selected)
         assert sa.runs[k].selected == ids(inst, want_sa.solution.selected)
 
@@ -251,7 +252,7 @@ def test_run_algorithm_looks_reducers_up_at_call_time(monkeypatch):
 
     def recording(name, reducer):
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            calls.append((name, inspect.signature(reducer).bind(*args, **kwargs).arguments))
             return reducer(*args, **kwargs)
 
         return wrapper
@@ -261,7 +262,20 @@ def test_run_algorithm_looks_reducers_up_at_call_time(monkeypatch):
     for name in reducers.values():
         monkeypatch.setattr(bench, name, recording(name, getattr(bench, name)))
     inst = builtin("experiment-1")
+    fis_config = FISConfig(population_size=4, max_iterations=5)
+    sa_params = SAParams(alpha=0.9, t_initial=50.0)
     for algorithm in bench.ALGORITHMS:
-        selected = bench.run_algorithm(inst, algorithm, 7)
+        selected = bench.run_algorithm(inst, algorithm, 7, fis_config=fis_config, sa_params=sa_params)
         assert is_cover(inst, (inst.index_of[t] for t in selected))
-    assert calls == [reducers[a] for a in bench.ALGORITHMS]
+    assert [name for name, _ in calls] == [reducers[a] for a in bench.ALGORITHMS]
+    # FIS and SA get the caller's config object itself, not a copy, and the
+    # run's seed as their own argument
+    arguments = dict(calls)
+    assert arguments["run_fis"]["config"] is fis_config
+    assert arguments["simulated_annealing"]["params"] is sa_params
+    assert arguments["run_fis"]["seed"] == arguments["simulated_annealing"]["seed"] == 7
+    # a config holds only its knobs, so it cannot carry a seed a run would ignore
+    with pytest.raises(TypeError):
+        FISConfig(seed=1)
+    with pytest.raises(TypeError):
+        SAParams(seed=1)

@@ -2,10 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import _distinct_pair, covers_naive, ge_naive, prefix_by_scan, random_instance
+from helpers import (
+    _distinct_pair,
+    covers_naive,
+    ge_naive,
+    prefix_by_scan,
+    random_instance,
+    undominated_naive,
+)
 from tsred import (
     InvalidInstanceError,
     decode,
@@ -15,7 +22,7 @@ from tsred import (
     reduction_percent,
     validate_instance,
 )
-from tsred.core import coverage, essential_tests, greedy_fill, step_over
+from tsred.core import coverage, essential_tests, greedy_fill, step_over, undominated
 
 
 def test_instance_basics(tiny):
@@ -191,3 +198,46 @@ def test_essential_tests_then_greedy_fill_is_ge(seed):
     essential = essential_tests(inst.candidate_masks, inst.full_mask, everyone)
     rest = inst.full_mask & ~coverage(inst, essential)
     assert essential + greedy_fill(inst.test_masks, rest, everyone) == ge_naive(inst)
+
+
+def members(mask: int) -> set[int]:
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+def assert_undominated_is_naive(sets, pool):
+    naive = undominated_naive([members(s) for s in sets], members(pool))
+    assert members(undominated(sets, pool)) == naive
+
+
+def test_undominated_keeps_the_lowest_of_equal_sets_and_reads_only_the_pool():
+    assert undominated([0b11, 0b11, 0b01], 0b111) == 0b001  # equal sets: the lowest stays
+    assert undominated([0b01, 0b11, 0b11], 0b111) == 0b010
+    assert undominated([0, 0b1], 0b11) == 0b10  # an empty set lies inside any other
+    assert undominated([0, 0], 0b11) == 0b01
+    assert undominated([0b1, 0b11], 0b01) == 0b01  # test 1, outside the pool, drops nothing
+    assert undominated([0b1, 0b11], 0) == 0
+
+
+# sets over a few requirements, so equal and empty sets come up often
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**4 - 1), max_size=10), st.integers(0, 2**10 - 1))
+@example([0b11, 0b11, 0b01], 0b111)
+@example([0, 0, 0b10], 0b111)
+@example([0b1, 0b11, 0b11], 0b101)
+def test_undominated_matches_the_naive_rule(sets, pool):
+    assert_undominated_is_naive(sets, pool & (1 << len(sets)) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_undominated_on_the_gre_and_oracle_call_shapes(seed):
+    rng = random.Random(seed)
+    inst = random_instance(rng, max_tests=12, max_requirements=10)
+    pool = rng.getrandbits(inst.n)
+    masks = inst.test_masks
+    # GRE: each test's requirements not yet covered by the tests picked so far
+    covered = coverage(inst, [t for t in range(inst.n) if rng.random() < 0.3])
+    assert_undominated_is_naive([m & ~covered for m in masks], pool)
+    # the oracle's reduction: each test's share of the uncovered requirements
+    uncovered = rng.getrandbits(inst.m)
+    assert_undominated_is_naive([m & uncovered for m in masks], pool)

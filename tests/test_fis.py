@@ -210,7 +210,7 @@ def _constant_rule_base(decision: str) -> RuleBase:
 
 def test_run_switches_operator_on_change(tiny):
     rb = _constant_rule_base("Change")
-    res = run_fis(tiny, FISConfig(population_size=4, max_iterations=200, seed=0, rule_base=rb))
+    res = run_fis(tiny, FISConfig(population_size=4, max_iterations=200, rule_base=rb), seed=0)
     ops = res.operators
     assert all(a != b for a, b in zip(ops, ops[1:]))
     assert set(zip(ops, ops[1:])) == {(a, b) for a in OPERATORS for b in OPERATORS if a != b}
@@ -222,7 +222,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FISConfig(max_iterations=0)
     with pytest.raises(ParameterError, match="seed"):
-        FISConfig(seed=-1)
+        run_fis(builtin("experiment-1"), seed=-1)
     FISConfig(population_size=MAX_EVALUATIONS // 100, max_iterations=100)
     with pytest.raises(ParameterError, match="must not exceed"):
         FISConfig(population_size=MAX_EVALUATIONS // 100 + 1, max_iterations=100)
@@ -234,15 +234,15 @@ def test_config_validation():
 
 def test_run_is_deterministic_per_seed():
     inst = builtin("experiment-2")
-    a = run_fis(inst, FISConfig(seed=11))
-    b = run_fis(inst, FISConfig(seed=11))
+    a = run_fis(inst, seed=11)
+    b = run_fis(inst, seed=11)
     assert a == b
-    c = run_fis(inst, FISConfig(seed=12))
+    c = run_fis(inst, seed=12)
     assert a.solution.permutation != c.solution.permutation or a.history != c.history
 
 
 def test_run_history_tracks_incumbent(tiny):
-    res = run_fis(tiny, FISConfig(population_size=4, max_iterations=30, seed=5))
+    res = run_fis(tiny, FISConfig(population_size=4, max_iterations=30), seed=5)
     assert len(res.history) == 30
     assert len(res.operators) == 30
     assert all(op in OPERATORS for op in res.operators)
@@ -251,23 +251,23 @@ def test_run_history_tracks_incumbent(tiny):
 
 
 def test_run_finds_tiny_minimum(tiny):
-    res = run_fis(tiny, FISConfig(population_size=6, max_iterations=40, seed=0))
+    res = run_fis(tiny, FISConfig(population_size=6, max_iterations=40), seed=0)
     assert res.solution.prefix_len == 2
     assert set(res.solution.selected) == {0, 2}  # t1 and t3, the unique minimum
 
 
 def test_run_respects_custom_rule_base(tiny):
     rb = _constant_rule_base("Maintain")
-    res = run_fis(tiny, FISConfig(population_size=4, max_iterations=10, seed=3, rule_base=rb))
+    res = run_fis(tiny, FISConfig(population_size=4, max_iterations=10, rule_base=rb), seed=3)
     assert len(set(res.operators)) == 1  # operator never changes under Maintain
 
 
 def test_select_operator_keeps_on_maintain(tiny):
     rb = _constant_rule_base("Maintain")
     firsts = set()
+    config = FISConfig(population_size=4, max_iterations=20, rule_base=rb)
     for seed in range(8):
-        config = FISConfig(population_size=4, max_iterations=20, seed=seed, rule_base=rb)
-        operators = run_fis(tiny, config).operators
+        operators = run_fis(tiny, config, seed=seed).operators
         assert len(set(operators)) == 1  # operator never changes under Maintain
         firsts.add(operators[0])
     assert len(firsts) > 1  # the seed's first draw picks the operator in force
@@ -280,12 +280,12 @@ def test_run_memory_stays_flat_for_a_large_population():
     # 20% over that.  Drawing eight iterations ahead whatever the population
     # size peaks at about 8.4 MB.
     inst = validate_instance("three", ["t0", "t1", "t2"], [("r0", ["t0", "t1"]), ("r1", ["t2"])])
-    config = FISConfig(population_size=20_000, max_iterations=2, seed=3)
+    config = FISConfig(population_size=20_000, max_iterations=2)
     assert config.population_size >= DRAW_ROWS
-    run_fis(inst, FISConfig(population_size=4, max_iterations=2, seed=3))  # lazy set-up first
+    run_fis(inst, FISConfig(population_size=4, max_iterations=2), seed=3)  # lazy set-up first
     tracemalloc.start()
     try:
-        run_fis(inst, config)
+        run_fis(inst, config, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -29,7 +29,6 @@ from helpers import always_change
 from tsred import (
     ALGORITHMS,
     FISConfig,
-    SAParams,
     builtin,
     run_fis,
     simulated_annealing,
@@ -174,22 +173,22 @@ def digest(result) -> str:
 @pytest.mark.parametrize("name", FIS_DIGESTS)
 def test_fis_outputs_are_pinned(name):
     instance = builtin(name)
-    got = tuple(digest(run_fis(instance, FISConfig(seed=seed))) for seed in SEEDS)
+    got = tuple(digest(run_fis(instance, seed=seed)) for seed in SEEDS)
     assert got == FIS_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", FIS_ALWAYS_CHANGE_DIGESTS)
 def test_fis_outputs_under_always_change_are_pinned(name):
     instance = builtin(name)
-    configs = (FISConfig(seed=seed, rule_base=always_change()) for seed in SEEDS)
-    got = tuple(digest(run_fis(instance, config)) for config in configs)
+    config = FISConfig(rule_base=always_change())
+    got = tuple(digest(run_fis(instance, config, seed=seed)) for seed in SEEDS)
     assert got == FIS_ALWAYS_CHANGE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", SA_DIGESTS)
 def test_sa_outputs_are_pinned(name):
     instance = builtin(name)
-    got = tuple(digest(simulated_annealing(instance, SAParams(seed=seed))) for seed in SEEDS)
+    got = tuple(digest(simulated_annealing(instance, seed=seed)) for seed in SEEDS)
     assert got == SA_DIGESTS[name]
 
 

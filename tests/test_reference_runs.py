@@ -53,10 +53,10 @@ def change_when_worse() -> RuleBase:
     return RuleBase({"quality": quality}, DECISION, rules)
 
 
-def assert_fis_matches(instance, config: FISConfig):
-    result = run_fis(instance, config)
+def assert_fis_matches(instance, config: FISConfig, seed: int):
+    result = run_fis(instance, config, seed=seed)
     solution, history, operators = fis_reference(
-        instance, config.population_size, config.max_iterations, config.seed, config.rule_base
+        instance, config.population_size, config.max_iterations, seed, config.rule_base
     )
     assert result.solution == solution
     assert result.history == history
@@ -64,9 +64,9 @@ def assert_fis_matches(instance, config: FISConfig):
     return result
 
 
-def assert_sa_matches(instance, params: SAParams):
-    result = simulated_annealing(instance, params)
-    solution, history = sa_reference(instance, params.alpha, params.t_initial, params.seed)
+def assert_sa_matches(instance, params: SAParams, seed: int):
+    result = simulated_annealing(instance, params, seed=seed)
+    solution, history = sa_reference(instance, params.alpha, params.t_initial, seed)
     assert result.solution == solution
     assert result.history == history
 
@@ -75,40 +75,39 @@ def assert_sa_matches(instance, params: SAParams):
 def test_fis_matches_reference_on_bundled(name):
     instance = builtin(name)
     for seed in SEEDS:
-        assert_fis_matches(instance, FISConfig(seed=seed))
+        assert_fis_matches(instance, FISConfig(), seed)
 
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_sa_matches_reference_on_bundled(name):
     instance = builtin(name)
     for seed in SEEDS:
-        assert_sa_matches(instance, SAParams(seed=seed))
+        assert_sa_matches(instance, SAParams(), seed)
 
 
 @pytest.mark.parametrize("name", EDGE)
 def test_fis_and_sa_match_reference_on_edge_instances(name):
     instance = EDGE[name]
     for seed in range(1, 4):
-        assert_fis_matches(instance, FISConfig(population_size=8, max_iterations=40, seed=seed))
-        assert_sa_matches(instance, SAParams(seed=seed))
+        assert_fis_matches(instance, FISConfig(population_size=8, max_iterations=40), seed)
+        assert_sa_matches(instance, SAParams(), seed)
 
 
 @pytest.mark.parametrize("name", ["experiment-4", *EDGE])
 def test_fis_matches_reference_when_every_iteration_switches(name):
     instance = EDGE[name] if name in EDGE else builtin(name)
+    config = FISConfig(population_size=5, max_iterations=40, rule_base=always_change())
     for seed in range(1, 4):
-        config = FISConfig(population_size=5, max_iterations=40, seed=seed,
-                           rule_base=always_change())
-        result = run_fis(instance, config)
+        result = run_fis(instance, config, seed=seed)
         assert all(a != b for a, b in zip(result.operators, result.operators[1:]))
-        assert_fis_matches(instance, config)
+        assert_fis_matches(instance, config, seed)
 
 
 @pytest.mark.parametrize("name", ["experiment-4", "experiment-5", *EDGE])
 def test_fis_matches_reference_when_switching_on_worse_iterations(name):
     instance = EDGE[name] if name in EDGE else builtin(name)
     for seed in range(1, 6):
-        assert_fis_matches(instance, FISConfig(seed=seed, rule_base=change_when_worse()))
+        assert_fis_matches(instance, FISConfig(rule_base=change_when_worse()), seed)
 
 
 def scripted(switches):
@@ -138,7 +137,7 @@ def test_fis_rewinds_to_the_per_iteration_stream_at_any_switch(monkeypatch, tiny
     for k, switches in enumerate(schedules):
         monkeypatch.setattr(fis, "infer", scripted(switches))
         monkeypatch.setattr(helpers, "infer", scripted(switches))
-        config = FISConfig(population_size=size, max_iterations=iterations, seed=k)
-        ops = assert_fis_matches(tiny, config).operators
+        config = FISConfig(population_size=size, max_iterations=iterations)
+        ops = assert_fis_matches(tiny, config, k).operators
         changed = {t for t in range(iterations - 1) if ops[t] != ops[t + 1]}
         assert changed == {t for t in switches if t < iterations - 1}
