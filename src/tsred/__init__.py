@@ -53,7 +53,7 @@ from .io import (
     write_instance,
     write_report,
 )
-from .oracle import OracleResult, enumerate_minimum_covers, minimum_cover
+from .oracle import OracleResult, enumerate_minimum_covers, minimum_cover, packing_bound
 
 __version__ = "0.1.0"
 
@@ -101,6 +101,7 @@ __all__ = [
     "measure_quality",
     "minimum_cover",
     "objective",
+    "packing_bound",
     "parse_instance",
     "parse_report",
     "reduction_percent",

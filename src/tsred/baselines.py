@@ -153,6 +153,11 @@ def simulated_annealing(
     The swap positions come from `_swap_positions`, BLOCK pairs per draw;
     the acceptance draw `rng.random()` is taken one step at a time, only for
     worsening moves, so it falls between the blocks in the random stream.
+    A swap of positions lo < hi is not re-evaluated when lo lies at or past
+    the covering prefix (lo >= objective) or hi before the prefix's last
+    test (hi <= objective - 2): either way the first objective - 1 positions
+    still do not cover and the first objective positions still do, so delta
+    is 0 and the move is taken, as a scan would decide.
     """
     check_seed(seed)
     p = params or SAParams()
@@ -168,8 +173,9 @@ def simulated_annealing(
         if n >= 2:
             i, j = next(positions)
             candidate = swap_at(current, i, j)
-            # a swap wholly past the covering prefix leaves the objective alone
-            cand_obj = current_obj if min(i, j) >= current_obj else objective(instance, candidate)
+            # a swap wholly past the covering prefix or before its last test keeps the objective
+            lo, hi = (i, j) if i < j else (j, i)
+            cand_obj = objective(instance, candidate) if lo < current_obj <= hi + 1 else current_obj
             delta = cand_obj - current_obj
             if delta <= 0 or rng.random() < math.exp(-delta / temperature):
                 current, current_obj = candidate, cand_obj

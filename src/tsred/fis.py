@@ -17,9 +17,15 @@ many as the last one while the operator stays, up to DRAW_ROWS rows.  When
 the controller switches operator before a block is used up, the generator is
 set back to where the block began and redraws only the rows used, so the
 switch draw, and all that follow, land where per-iteration draws put them.
-A move whose lowest touched position lies at or past the member's covering
-prefix cannot change that prefix, so it is not re-evaluated: its objective
-is the member's own.
+Swap, insertion and reversal touch only positions lo = min(i, j) through
+hi = max(i, j).  When lo lies at or past the member's covering prefix, that
+prefix is left as it is; when hi lies before the prefix's last test (hi at
+most own - 2, for a prefix of own tests), the tests before that last one are
+only permuted among themselves, so the first own - 1 positions still do not
+cover and the first own still do.  Either way the objective is the member's
+own and is not re-evaluated.  No permutation covers with fewer tests than the
+oracle's packing bound, so once the iteration's best and a member both sit
+on that floor, no move of the member can change either, and it is skipped.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .core import (
     Instance, ParameterError, Solution, check_seed, decode, objective, step_over, swap_at
 )
 from .fuzzy import RuleBase, default_rule_base, infer
+from .oracle import packing_bound
 
 OPERATORS: tuple[str, ...] = ("swap", "insertion", "reversal", "crossover")
 
@@ -200,6 +207,7 @@ def run_fis(instance: Instance, config: FISConfig | None = None, seed: int = 0) 
 
     population = [tuple(int(v) for v in rng.permutation(n)) for _ in range(size)]
     objectives = [objective(instance, p) for p in population]
+    floor = packing_bound(instance)  # no objective lies below it
     rows = np.array(population)  # the population as an int array, for diversification
     best_idx = min(range(len(population)), key=objectives.__getitem__)
     best_perm, best_obj = population[best_idx], objectives[best_idx]
@@ -234,9 +242,12 @@ def run_fis(instance: Instance, config: FISConfig | None = None, seed: int = 0) 
         end = used + size
         for k, i, j in zip(range(size), i_all[used:end], j_all[used:end]):
             member, own = population[k], objectives[k]
+            if own == iter_obj == floor:
+                continue  # no candidate can beat the member or the iteration's best
             mate = population[mates[used + k]] if crossover else member
-            if not crossover and (i if i < j else j) >= own:
-                # the move leaves the covering prefix, and so the objective, alone
+            lo, hi = (i, j) if i < j else (j, i)
+            if not crossover and not lo < own <= hi + 1:
+                # lo >= own or hi <= own - 2: the objective stays the member's own
                 if own < iter_obj:
                     iter_perm, iter_obj = move(current_op, member, mate, i, j), own
                 continue

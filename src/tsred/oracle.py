@@ -124,6 +124,14 @@ def _lower_bound(
     return bound
 
 
+def packing_bound(instance: Instance) -> int:
+    """The root packing bound: `_lower_bound` over every requirement with
+    every test allowed, in the order of `_bound_space`.  No cover is
+    smaller; 0 with no requirements."""
+    masks, req_masks, near, _ = _bound_space(instance)
+    return _lower_bound(req_masks, masks, near, instance.full_mask, (1 << instance.n) - 1)
+
+
 def _count_planes(masks: tuple[int, ...], allowed: int) -> list[int]:
     """Each requirement's number of allowed candidates, bit-sliced: bit i of
     `planes[k]` is bit k of requirement i's count.  Built by a ripple-carry

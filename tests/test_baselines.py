@@ -23,7 +23,7 @@ from tsred import (
     solve_report,
     validate_instance,
 )
-from tsred import bench
+from tsred import baselines, bench
 from tsred.baselines import STOP_FLOOR
 
 
@@ -189,6 +189,17 @@ class TestSimulatedAnnealing:
         inst = validate_instance("one", ["only"], [("r1", ["only"])])
         res = simulated_annealing(inst, seed=0)
         assert res.solution.selected == (0,)
+
+    @pytest.mark.parametrize("name, calls", [("experiment-1", 985), ("experiment-4", 626)])
+    def test_objective_calls_per_run_are_pinned(self, monkeypatch, name, calls):
+        # seed 1; skipping only swaps with lo >= objective scores 1229 and 1277
+        counted = []
+        real = baselines.objective
+        monkeypatch.setattr(
+            baselines, "objective", lambda inst, p: counted.append(p) or real(inst, p)
+        )
+        simulated_annealing(builtin(name), seed=1)
+        assert len(counted) == calls
 
     def test_long_schedule_memory_is_bounded(self):
         # About 7.6e4 steps.  The history list and tuple take about 1.2 MB;

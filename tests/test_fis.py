@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from tsred import (
     run_fis,
     validate_instance,
 )
+from tsred import fis
 from tsred.fis import (
     DRAW_ROWS,
     MAX_EVALUATIONS,
@@ -183,6 +185,44 @@ def test_move_keeps_every_position_before_the_lowest_touched(op, data):
     out = move(op, p, p, i, j)
     assert sorted(out) == list(range(n))
     assert out[: min(i, j)] == p[: min(i, j)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances_with_permutations(), st.sampled_from(("swap", "insertion", "reversal")))
+def test_moves_wholly_past_or_before_the_prefix_end_keep_the_objective(case, op):
+    # run_fis and simulated_annealing do not score these moves
+    instance, p = case
+    length = prefix_length(instance)
+    own = length(p)
+    for i, j in itertools.product(range(len(p)), repeat=2):
+        lo, hi = min(i, j), max(i, j)
+        if lo >= own or hi <= own - 2:
+            positions = (lo, hi) if op == "reversal" else (i, j)  # reversal's pair is ordered
+            assert length(move(op, p, p, *positions)) == own, (i, j)
+
+
+def test_moves_reaching_the_prefix_end_can_change_the_objective():
+    # r0 needs t1 alone, so (t0, t1, t2) covers at 2.  Moves of positions
+    # (0, 1), with hi = own - 1, bring t1 first; moves of (1, 2), with
+    # lo = own - 1, push it back.  Both must be scored.
+    instance = validate_instance("edge", ["t0", "t1", "t2"], [("r0", ["t1"])])
+    length = prefix_length(instance)
+    p = (0, 1, 2)
+    assert length(p) == 2
+    for op in ("swap", "insertion", "reversal"):
+        assert length(move(op, p, p, 0, 1)) == 1
+        assert length(move(op, p, p, 1, 2)) == 3
+
+
+@pytest.mark.parametrize("name, calls", [("experiment-1", 534), ("experiment-4", 1001)])
+def test_objective_calls_per_run_are_pinned(monkeypatch, name, calls):
+    # seed 1; skipping only moves with lo >= own, and no member on the
+    # packing floor, scores 1523 and 1711 candidates
+    counted = []
+    real = fis.objective
+    monkeypatch.setattr(fis, "objective", lambda inst, p: counted.append(p) or real(inst, p))
+    run_fis(builtin(name), seed=1)
+    assert len(counted) == calls
 
 
 def test_move_single_element_is_noop():

@@ -32,6 +32,7 @@ from tsred.oracle import (
     _implied,
     _lower_bound,
     _reduce,
+    packing_bound,
 )
 
 # frozen exact minima for the two larger benchmarks
@@ -92,6 +93,12 @@ def test_small_benchmarks_minimum_is_three():
         assert res.minimum_size == 3
         assert is_cover(inst, res.witness)
         assert len(res.witness) == 3
+
+
+def test_packing_bound_of_bundled_instances_and_of_no_requirements():
+    bounds = [packing_bound(builtin(f"experiment-{k}")) for k in range(1, 6)]
+    assert bounds == [3, 3, 3, 10, 9]
+    assert packing_bound(validate_instance("free", ["t0", "t1"], [])) == 0
 
 
 def test_small_benchmarks_match_exhaustive_search():
@@ -263,7 +270,7 @@ def test_root_bound_never_exceeds_minimum(seed):
     def renumbered(mask: int) -> int:
         return sum(1 << rank[i] for i in range(inst.m) if mask >> i & 1)
 
-    assert _lower_bound(req_b, masks_b, near, renumbered(inst.full_mask), (1 << inst.n) - 1) <= k
+    assert packing_bound(inst) <= k
     # the roots the two searches start from, after preprocessing
     for drop_tests in (True, False):
         forced, uncovered, allowed = _reduce(inst, drop_tests)
