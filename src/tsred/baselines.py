@@ -57,7 +57,7 @@ def greedy_gre(instance: Instance) -> list[int]:
     active = (1 << instance.n) - 1
     selected: list[int] = []
     while covered != full:
-        kept = undominated([m & ~covered for m in masks], active)
+        kept = undominated([m & ~covered for m in masks], instance.candidate_masks, active)
         picks = essential_tests(instance.candidate_masks, full & ~covered, kept)
         if not picks and kept == active:
             picks = [best_gain(masks, full & ~covered, active)]

@@ -6,8 +6,8 @@ solution is a permutation of all test indices; it decodes to the shortest
 prefix whose tests together satisfy every requirement.  Coverage is computed
 on bitsets over requirement indices, so membership checks stay cheap even in
 search loops.  The greedy reducers and the oracle's preprocessing are all
-built from the same three set-cover moves on these bitsets: take the
-essential tests, drop dominated members, pick the test of largest gain.
+built from the same set-cover moves on these bitsets: take the essential
+tests, drop the members `holders` finds dominated, pick the largest gain.
 """
 
 from __future__ import annotations
@@ -194,20 +194,31 @@ def greedy_fill(masks: Sequence[int], uncovered: int, pool: int) -> list[int]:
     return picks
 
 
-def undominated(sets: Sequence[int], pool: int) -> int:
-    """`pool` without every member whose set lies inside another member's
-    set; of members with equal sets only the lowest index stays.
+def holders(sets: Sequence[int], owners: Sequence[int], pool: int, t: int) -> int:
+    """The members of `pool` whose set holds all of t's, t too if in `pool`;
+    `owners[e]`, the transpose of `sets`, masks the members whose set holds
+    e.  The walk ANDs `pool` with `owners[e]` for each e of t's set until
+    none is left: one AND per element of t's set, not a subset test per member."""
+    held = pool
+    rest = sets[t]
+    while rest and held:
+        held &= owners[(rest & -rest).bit_length() - 1]
+        rest &= rest - 1
+    return held
 
-    Dominance is a strict partial order, so dropping dominated members all
-    at once leaves the same pool as dropping them one by one.
-    """
-    members = [(t, sets[t]) for t in bits(pool)]
+
+def undominated(sets: Sequence[int], owners: Sequence[int], pool: int) -> int:
+    """`pool` without every member t whose set lies inside another member's:
+    t drops when its `holders` among the others (`owners` is the transpose
+    of `sets`) include a lower member or a higher one with a different set,
+    so of equal sets only the lowest index stays.  Dominance is a strict
+    partial order, so dropping dominated members all at once leaves the
+    same pool as dropping them one by one."""
     kept = pool
-    for t, s in members:
-        for u, su in members:
-            if u != t and not s & ~su and (s != su or u < t):
-                kept &= ~(1 << t)
-                break
+    for t in bits(pool):
+        others = holders(sets, owners, pool & ~(1 << t), t)
+        if others and (others & ((1 << t) - 1) or any(sets[u] != sets[t] for u in bits(others))):
+            kept &= ~(1 << t)
     return kept
 
 

@@ -28,17 +28,15 @@ later siblings, a borrow chain subtracts that test's mask into a new list,
 which the children share and never change.  The pick then costs a few
 operations per plane, not one per open requirement.
 
-Preprocessing drops implied requirements, those whose allowed candidates
-hold all of another's.  They are found through the test masks rather than
-by comparing requirements pairwise: the AND of the masks of one
-requirement's candidates is every requirement that holds them all.
+Preprocessing drops dominated tests and implied requirements, both found
+by the containment walk of `core.holders` rather than pair by pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, ParameterError, bits, essential_tests, greedy_fill, undominated
+from .core import Instance, ParameterError, bits, essential_tests, greedy_fill, holders, undominated
 
 MAX_NODES = 1_000_000  # most branch-and-bound nodes one search may visit
 _INF = 1 << 30
@@ -184,26 +182,16 @@ def _implied(
 ) -> int:
     """`uncovered` without the requirements another one of it implies: i is
     implied by j when j's allowed candidates all lie inside i's, so any test
-    covering j covers i.  Of requirements with equal allowed candidates only
-    the lowest index stays, as in `undominated` over the complements of the
-    candidate sets, which finds the same pool with a subset test per pair.
-
-    The requirements implied by j are the AND of the test masks of j's
-    allowed candidates.  Taking j in index order and skipping those already
-    dropped loses nothing: what an implied j implies, the requirement that
-    implies j implies too, and the lowest of equal ones stays until its turn.
-    """
+    covering j covers i; of equal ones the lowest index stays.  j implies its
+    `holders` among the allowed candidate sets, whose transpose is the test
+    masks.  Taking j in index order and skipping those already dropped loses
+    nothing: what an implied j implies, the requirement that implies j
+    implies too, and the lowest of equal ones stays until its turn."""
+    cands = [r & allowed for r in req_masks]
     kept = uncovered
     for j in bits(uncovered):
-        bit = 1 << j
-        if not kept & bit:
-            continue
-        implied = kept
-        cands = req_masks[j] & allowed
-        while cands:
-            implied &= masks[(cands & -cands).bit_length() - 1]
-            cands &= cands - 1
-        kept &= ~implied | bit
+        if kept >> j & 1:
+            kept &= ~holders(cands, masks, kept & ~(1 << j), j)
     return kept
 
 
@@ -229,7 +217,8 @@ def _reduce(instance: Instance, drop_tests: bool) -> tuple[set[int], int, int]:
             forced |= 1 << t
             uncovered &= ~masks[t]
         if drop_tests:
-            allowed = undominated([m & uncovered for m in masks], allowed & ~forced) | forced
+            allowed = undominated([m & uncovered for m in masks], req_masks, allowed & ~forced)
+            allowed |= forced
         uncovered = _implied(masks, req_masks, uncovered, allowed)
         changed = (forced, allowed, uncovered) != before
     return set(bits(forced)), uncovered, allowed

@@ -52,6 +52,12 @@ def brute_minimum_covers(instance: Instance) -> list[frozenset[int]]:
     ]
 
 
+def holders_naive(sets, pool, t) -> set[int]:
+    """The members u of `pool` (a set of indices into `sets`, a list of
+    sets) whose set holds all of t's."""
+    return {u for u in pool if sets[t] <= sets[u]}
+
+
 def undominated_naive(sets, pool) -> set[int]:
     """The members t of `pool` (a set of indices into `sets`, a list of sets)
     with no other member u whose set holds all of t's; of members with equal

@@ -129,6 +129,20 @@ def test_greedy_family_matches_set_references(seed):
     assert hgs(inst) == hgs_naive(inst)
 
 
+# the wide-suites shape, up to 60 tests with 2-6 candidates a requirement:
+# little is essential or dominated, so GRE runs many one-pick rounds
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_gre_matches_the_set_reference_on_wide_suites(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 60)
+    tests = [f"t{j}" for j in range(n)]
+    m = rng.randint(n, 5 * n // 2)
+    requirements = [(f"r{i}", rng.sample(tests, min(n, rng.randint(2, 6)))) for i in range(m)]
+    inst = validate_instance(f"wide-{seed}", tests, requirements)
+    assert greedy_gre(inst) == gre_naive(inst)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_greedy_family_produces_covers(seed):

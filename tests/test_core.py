@@ -9,6 +9,7 @@ from helpers import (
     _distinct_pair,
     covers_naive,
     ge_naive,
+    holders_naive,
     prefix_by_scan,
     random_instance,
     undominated_naive,
@@ -22,7 +23,7 @@ from tsred import (
     reduction_percent,
     validate_instance,
 )
-from tsred.core import coverage, essential_tests, greedy_fill, step_over, undominated
+from tsred.core import coverage, essential_tests, greedy_fill, holders, step_over, undominated
 
 
 def test_instance_basics(tiny):
@@ -204,18 +205,48 @@ def members(mask: int) -> set[int]:
     return {i for i in range(mask.bit_length()) if mask >> i & 1}
 
 
-def assert_undominated_is_naive(sets, pool):
+def owners_of(sets) -> list[int]:
+    """The transpose of `sets`: entry e masks the indices whose set holds e."""
+    width = max((s.bit_length() for s in sets), default=0)
+    return [sum(1 << u for u, s in enumerate(sets) if s >> e & 1) for e in range(width)]
+
+
+def transposed(sets):
+    return sets, owners_of(sets)
+
+
+# sets over a few elements, so equal and empty sets come up often
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**4 - 1), min_size=1, max_size=10),
+    st.integers(0, 2**10 - 1),
+    st.integers(0, 9),
+)
+@example([0, 0b1, 0b11], 0b111, 0)  # an empty set: every member holds it
+@example([0b1, 0b11, 0b10], 0b110, 0)  # t outside the pool
+@example([0b1, 0b11], 0, 1)  # an empty pool
+@example([0b11, 0b11, 0b01], 0b111, 1)  # equal sets hold each other
+def test_holders_match_the_set_reference(sets, pool, t):
+    pool &= (1 << len(sets)) - 1
+    t %= len(sets)
+    naive = holders_naive([members(s) for s in sets], members(pool), t)
+    assert members(holders(*transposed(sets), pool, t)) == naive
+
+
+def assert_undominated_is_naive(sets, owners, pool):
     naive = undominated_naive([members(s) for s in sets], members(pool))
-    assert members(undominated(sets, pool)) == naive
+    assert members(undominated(sets, owners, pool)) == naive
 
 
 def test_undominated_keeps_the_lowest_of_equal_sets_and_reads_only_the_pool():
-    assert undominated([0b11, 0b11, 0b01], 0b111) == 0b001  # equal sets: the lowest stays
-    assert undominated([0b01, 0b11, 0b11], 0b111) == 0b010
-    assert undominated([0, 0b1], 0b11) == 0b10  # an empty set lies inside any other
-    assert undominated([0, 0], 0b11) == 0b01
-    assert undominated([0b1, 0b11], 0b01) == 0b01  # test 1, outside the pool, drops nothing
-    assert undominated([0b1, 0b11], 0) == 0
+    # equal sets: the lowest stays
+    assert undominated(*transposed([0b11, 0b11, 0b01]), 0b111) == 0b001
+    assert undominated(*transposed([0b01, 0b11, 0b11]), 0b111) == 0b010
+    assert undominated(*transposed([0, 0b1]), 0b11) == 0b10  # an empty set lies inside any other
+    assert undominated(*transposed([0, 0]), 0b11) == 0b01
+    # test 1, outside the pool, drops nothing
+    assert undominated(*transposed([0b1, 0b11]), 0b01) == 0b01
+    assert undominated(*transposed([0b1, 0b11]), 0) == 0
 
 
 # sets over a few requirements, so equal and empty sets come up often
@@ -225,7 +256,7 @@ def test_undominated_keeps_the_lowest_of_equal_sets_and_reads_only_the_pool():
 @example([0, 0, 0b10], 0b111)
 @example([0b1, 0b11, 0b11], 0b101)
 def test_undominated_matches_the_naive_rule(sets, pool):
-    assert_undominated_is_naive(sets, pool & (1 << len(sets)) - 1)
+    assert_undominated_is_naive(*transposed(sets), pool & (1 << len(sets)) - 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -237,7 +268,7 @@ def test_undominated_on_the_gre_and_oracle_call_shapes(seed):
     masks = inst.test_masks
     # GRE: each test's requirements not yet covered by the tests picked so far
     covered = coverage(inst, [t for t in range(inst.n) if rng.random() < 0.3])
-    assert_undominated_is_naive([m & ~covered for m in masks], pool)
+    assert_undominated_is_naive([m & ~covered for m in masks], inst.candidate_masks, pool)
     # the oracle's reduction: each test's share of the uncovered requirements
     uncovered = rng.getrandbits(inst.m)
-    assert_undominated_is_naive([m & uncovered for m in masks], pool)
+    assert_undominated_is_naive([m & uncovered for m in masks], inst.candidate_masks, pool)
