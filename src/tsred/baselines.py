@@ -27,9 +27,9 @@ from .core import (
     greedy_fill,
     objective,
     step_over,
-    swap_at,
     undominated,
 )
+from .oracle import packing_bound
 
 
 def greedy_ge(instance: Instance) -> list[int]:
@@ -157,30 +157,46 @@ def simulated_annealing(
     the covering prefix (lo >= objective) or hi before the prefix's last
     test (hi <= objective - 2): either way the first objective - 1 positions
     still do not cover and the first objective positions still do, so delta
-    is 0 and the move is taken, as a scan would decide.
+    is 0 and the move is taken, as a scan would decide.  The permutation is
+    swapped in place and swapped back when a proposal is rejected.
+
+    No cover is smaller than `oracle.packing_bound`, so once the best
+    objective sits on that floor no step can change the best permutation or
+    the history.  The run then stops proposing, and each temperature step
+    left in the schedule records the best objective, as the full schedule
+    would: `history` has one entry per step either way.  With fewer than two
+    tests the start is already on the floor.
     """
     check_seed(seed)
     p = params or SAParams()
     rng = np.random.default_rng(seed)
     n = instance.n
-    current = tuple(int(v) for v in rng.permutation(n))
+    current = rng.permutation(n).tolist()
     current_obj = objective(instance, current)
-    best, best_obj = current, current_obj
+    floor = packing_bound(instance)
+    best, best_obj = tuple(current), current_obj
     temperature = p.t_initial
     history: list[int] = []
-    positions = _swap_positions(rng, n)  # draws nothing until first asked
-    while temperature > STOP_FLOOR:
-        if n >= 2:
+    if best_obj > floor:  # never so with fewer than the two tests a swap needs
+        positions = _swap_positions(rng, n)
+        while temperature > STOP_FLOOR:
             i, j = next(positions)
-            candidate = swap_at(current, i, j)
+            current[i], current[j] = current[j], current[i]
             # a swap wholly past the covering prefix or before its last test keeps the objective
             lo, hi = (i, j) if i < j else (j, i)
-            cand_obj = objective(instance, candidate) if lo < current_obj <= hi + 1 else current_obj
+            cand_obj = objective(instance, current) if lo < current_obj <= hi + 1 else current_obj
             delta = cand_obj - current_obj
             if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-                current, current_obj = candidate, cand_obj
+                current_obj = cand_obj
                 if current_obj < best_obj:
-                    best, best_obj = current, current_obj
+                    best, best_obj = tuple(current), current_obj
+                    if best_obj == floor:
+                        break  # the loop below records this step and the rest
+            else:
+                current[i], current[j] = current[j], current[i]
+            history.append(best_obj)
+            temperature *= p.alpha
+    while temperature > STOP_FLOOR:
         history.append(best_obj)
         temperature *= p.alpha
     return SAResult(decode(instance, best), tuple(history))

@@ -275,12 +275,6 @@ def decode(instance: Instance, permutation: Sequence[int]) -> Solution:
     return Solution(perm, prefix_len, perm[:prefix_len])
 
 
-def swap_at(p: Sequence[int], i: int, j: int) -> tuple[int, ...]:
-    q = list(p)
-    q[i], q[j] = q[j], q[i]
-    return tuple(q)
-
-
 def step_over(firsts: Sequence[int], seconds: Sequence[int]) -> list[int]:
     """Second positions distinct from the first ones, pair by pair: from a
     draw i below n and a draw j below n - 1, j is moved one step up when it

@@ -26,6 +26,11 @@ cover and the first own still do.  Either way the objective is the member's
 own and is not re-evaluated.  No permutation covers with fewer tests than the
 oracle's packing bound, so once the iteration's best and a member both sit
 on that floor, no move of the member can change either, and it is skipped.
+
+Members are lists.  Swap, insertion and reversal move a member in place, and
+move it back unless the candidate replaces it; crossover builds a new list.
+The iteration's best and the incumbent are copied as tuples only when they
+change.
 """
 
 from __future__ import annotations
@@ -36,9 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    Instance, ParameterError, Solution, check_seed, decode, objective, step_over, swap_at
-)
+from .core import Instance, ParameterError, Solution, check_seed, decode, objective, step_over
 from .fuzzy import RuleBase, default_rule_base, infer
 from .oracle import packing_bound
 
@@ -98,44 +101,52 @@ def measure_intensification(x: Sequence[int], best: Sequence[int]) -> float:
     return 1.0 - hamming(x, best)
 
 
-def insert_at(p: Sequence[int], src: int, dst: int) -> tuple[int, ...]:
-    """Remove the entry at src and reinsert it at dst."""
-    q = list(p)
-    q.insert(dst, q.pop(src))
-    return tuple(q)
+def swap(q: list[int], i: int, j: int) -> None:
+    """Exchange q[i] and q[j] in place."""
+    q[i], q[j] = q[j], q[i]
 
 
-def reverse_segment(p: Sequence[int], i: int, j: int) -> tuple[int, ...]:
-    q = list(p)
-    q[i : j + 1] = reversed(q[i : j + 1])
-    return tuple(q)
+def insertion(q: list[int], i: int, j: int) -> None:
+    """Remove the entry at i and reinsert it at j, in place."""
+    q.insert(j, q.pop(i))
 
 
-def order_crossover(p: Sequence[int], mate: Sequence[int], i: int, j: int) -> tuple[int, ...]:
+def reversal(q: list[int], i: int, j: int) -> None:
+    """Reverse q[min(i, j)..max(i, j)] in place."""
+    if j < i:
+        i, j = j, i
+    q[i : j + 1] = q[i : j + 1][::-1]
+
+
+# The operators run_fis applies in place.  Each is undone by the same move
+# with i and j exchanged.
+IN_PLACE = {"swap": swap, "insertion": insertion, "reversal": reversal}
+
+
+def order_crossover(p: Sequence[int], mate: Sequence[int], i: int, j: int) -> list[int]:
     """Keep p[i..j] in place, fill the remaining slots in mate order."""
-    segment = tuple(p[i : j + 1])
+    segment = list(p[i : j + 1])
     keep = set(segment)
     rest = [t for t in mate if t not in keep]
-    return tuple(rest[:i]) + segment + tuple(rest[i:])
+    return rest[:i] + segment + rest[i:]
 
 
 def move(op: str, p: Sequence[int], mate: Sequence[int], i: int, j: int) -> tuple[int, ...]:
-    """The named operator applied to p at positions i and j.
+    """The named operator applied to a copy of p at positions i and j.
 
     swap exchanges p[i] and p[j], insertion moves p[i] to position j,
-    reversal reverses p[i..j] and crossover keeps p[i..j] in place and fills
-    the other slots in mate order.  Swap, insertion and reversal leave every
-    position before min(i, j) as it is.
+    reversal reverses p[min(i, j)..max(i, j)] and crossover keeps p[i..j]
+    in place and fills the other slots in mate order.  Swap, insertion and
+    reversal are the `IN_PLACE` moves, and leave every position before
+    min(i, j) as it is.
     """
-    if op == "swap":
-        return swap_at(p, i, j)
-    if op == "insertion":
-        return insert_at(p, i, j)
-    if op == "reversal":
-        return reverse_segment(p, i, j)
     if op == "crossover":
-        return order_crossover(p, mate, i, j)
-    raise ValueError(f"unknown operator: {op!r}")
+        return tuple(order_crossover(p, mate, i, j))
+    if op not in IN_PLACE:
+        raise ValueError(f"unknown operator: {op!r}")
+    q = list(p)
+    IN_PLACE[op](q, i, j)
+    return tuple(q)
 
 
 def _position_bounds(op: str, n: int) -> tuple[int, ...]:
@@ -205,12 +216,12 @@ def run_fis(instance: Instance, config: FISConfig | None = None, seed: int = 0) 
     n = instance.n
     size = cfg.population_size
 
-    population = [tuple(int(v) for v in rng.permutation(n)) for _ in range(size)]
+    population = [rng.permutation(n).tolist() for _ in range(size)]
     objectives = [objective(instance, p) for p in population]
     floor = packing_bound(instance)  # no objective lies below it
     rows = np.array(population)  # the population as an int array, for diversification
     best_idx = min(range(len(population)), key=objectives.__getitem__)
-    best_perm, best_obj = population[best_idx], objectives[best_idx]
+    best_perm, best_obj = tuple(population[best_idx]), objectives[best_idx]
     current_op = OPERATORS[int(rng.integers(len(OPERATORS)))]
     # Per operator, the bounds of the longest block's rows of draws
     # (crossover's mate draw, then the move's position draws).
@@ -229,6 +240,7 @@ def run_fis(instance: Instance, config: FISConfig | None = None, seed: int = 0) 
         iter_perm: tuple[int, ...] | None = None
         iter_obj = n + 1
         crossover = current_op == "crossover"
+        apply = IN_PLACE.get(current_op)
         if used == len(i_all):
             if current_op not in bounds:
                 row = ((size,) if crossover else ()) + _position_bounds(current_op, n)
@@ -244,20 +256,30 @@ def run_fis(instance: Instance, config: FISConfig | None = None, seed: int = 0) 
             member, own = population[k], objectives[k]
             if own == iter_obj == floor:
                 continue  # no candidate can beat the member or the iteration's best
-            mate = population[mates[used + k]] if crossover else member
-            lo, hi = (i, j) if i < j else (j, i)
-            if not crossover and not lo < own <= hi + 1:
-                # lo >= own or hi <= own - 2: the objective stays the member's own
-                if own < iter_obj:
-                    iter_perm, iter_obj = move(current_op, member, mate, i, j), own
-                continue
-            candidate = move(current_op, member, mate, i, j)
-            cand_obj = objective(instance, candidate)
+            if crossover:
+                candidate = order_crossover(member, population[mates[used + k]], i, j)
+                cand_obj = objective(instance, candidate)
+            else:
+                # The member itself is moved, and moved back below unless
+                # the candidate replaces it.
+                lo, hi = (i, j) if i < j else (j, i)
+                if lo < own <= hi + 1:
+                    apply(member, i, j)
+                    cand_obj = objective(instance, member)
+                elif own < iter_obj:
+                    # lo >= own or hi <= own - 2: the objective stays the member's own
+                    apply(member, i, j)
+                    cand_obj = own
+                else:
+                    continue  # the candidate scores own, which beats neither
+                candidate = member
             if cand_obj < iter_obj:
-                iter_perm, iter_obj = candidate, cand_obj
+                iter_perm, iter_obj = tuple(candidate), cand_obj
             if cand_obj < own:
                 population[k], objectives[k] = candidate, cand_obj
                 rows[k] = candidate
+            elif not crossover:
+                apply(member, j, i)  # the same move with i and j exchanged undoes it
         used = end
 
         # The controller keeps the operator iff its crisp decision is at least

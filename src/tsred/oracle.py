@@ -123,11 +123,19 @@ def _lower_bound(
 
 
 def packing_bound(instance: Instance) -> int:
-    """The root packing bound: `_lower_bound` over every requirement with
-    every test allowed, in the order of `_bound_space`.  No cover is
+    """The root packing bound: the size of the greedy family of requirements
+    with pairwise disjoint candidate sets, taken in ascending candidate
+    count, ties by index.  A requirement joins when its candidate mask is
+    disjoint from the OR of those taken so far.  This is the family
+    `_lower_bound` walks over `_bound_space` with every requirement open and
+    every test allowed, without building the bound space.  No cover is
     smaller; 0 with no requirements."""
-    masks, req_masks, near, _ = _bound_space(instance)
-    return _lower_bound(req_masks, masks, near, instance.full_mask, (1 << instance.n) - 1)
+    bound = taken = 0
+    for cands in sorted(instance.candidate_masks, key=int.bit_count):
+        if not cands & taken:
+            bound += 1
+            taken |= cands
+    return bound
 
 
 def _count_planes(masks: tuple[int, ...], allowed: int) -> list[int]:

@@ -204,9 +204,16 @@ class TestSimulatedAnnealing:
         res = simulated_annealing(inst, seed=0)
         assert res.solution.selected == (0,)
 
-    @pytest.mark.parametrize("name, calls", [("experiment-1", 985), ("experiment-4", 626)])
+    @pytest.mark.parametrize(
+        "name, calls", [("experiment-1", 16), ("experiment-4", 626), ("experiment-5", 503)]
+    )
     def test_objective_calls_per_run_are_pinned(self, monkeypatch, name, calls):
-        # seed 1; skipping only swaps with lo >= objective scores 1229 and 1277
+        # seed 1.  Experiment-1 reaches its packing floor of 3 in step 23 of
+        # 1484 and experiment-5 its floor of 9 in step 1244, and both stop
+        # proposing there; annealing on to the end scores 985 and 609.
+        # Experiment-4's floor of 10 lies below its minimum of 11, so it
+        # anneals the whole schedule.  Skipping only swaps with
+        # lo >= objective would score 1277 there.
         counted = []
         real = baselines.objective
         monkeypatch.setattr(
@@ -220,7 +227,10 @@ class TestSimulatedAnnealing:
         # drawing every step's positions at once (2.5-17 MB peak in trials:
         # one int64 array, or its list form) or listing every temperature
         # (3.7 MB) crosses the 2 MB line, drawing BLOCK pairs at a time does not.
-        inst = validate_instance("three", ["a", "b", "c"], [("r1", ["a"]), ("r2", ["b", "c"])])
+        # Any two tests of this triangle cover it, one cannot, and its packing
+        # floor is 1, so the run never stops on the floor and proposes at every step.
+        triangle = [("r1", ["a", "b"]), ("r2", ["b", "c"]), ("r3", ["a", "c"])]
+        inst = validate_instance("triangle", ["a", "b", "c"], triangle)
         params = SAParams(alpha=0.999, t_initial=1e30)
         tracemalloc.start()
         try:

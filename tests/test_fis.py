@@ -25,13 +25,11 @@ from tsred.fis import (
     DRAW_ROWS,
     MAX_EVALUATIONS,
     LengthMismatchError,
+    IN_PLACE,
     _member_positions,
     _position_bounds,
-    insert_at,
     move,
     order_crossover,
-    reverse_segment,
-    swap_at,
 )
 from tsred.fuzzy import LinguisticVariable, Rule, RuleBase, Trapezoid
 
@@ -96,16 +94,46 @@ def test_measure_diversification_refuses_bad_population():
 
 def test_position_operators_exact():
     p = (10, 11, 12, 13, 14)
-    assert swap_at(p, 0, 3) == (13, 11, 12, 10, 14)
-    assert insert_at(p, 1, 3) == (10, 12, 13, 11, 14)
-    assert insert_at(p, 3, 0) == (13, 10, 11, 12, 14)
-    assert reverse_segment(p, 1, 3) == (10, 13, 12, 11, 14)
-    assert order_crossover(p, (14, 13, 12, 11, 10), 1, 2) == (14, 11, 12, 13, 10)
+    assert move("swap", p, p, 0, 3) == (13, 11, 12, 10, 14)
+    assert move("insertion", p, p, 1, 3) == (10, 12, 13, 11, 14)
+    assert move("insertion", p, p, 3, 0) == (13, 10, 11, 12, 14)
+    assert move("reversal", p, p, 1, 3) == (10, 13, 12, 11, 14)
+    assert move("crossover", p, (14, 13, 12, 11, 10), 1, 2) == (14, 11, 12, 13, 10)
+    assert p == (10, 11, 12, 13, 14)  # move applies the operator to a copy
 
 
 def test_order_crossover_identity_mate_keeps_permutation():
     p = (0, 1, 2, 3, 4, 5)
-    assert order_crossover(p, p, 2, 4) == p
+    assert order_crossover(p, p, 2, 4) == list(p)
+
+
+def sliced(op, p, i, j):
+    """p after op at positions i and j, put together from slices."""
+    lo, hi = min(i, j), max(i, j)
+    if op == "swap" and lo < hi:
+        return p[:lo] + p[hi : hi + 1] + p[lo + 1 : hi] + p[lo : lo + 1] + p[hi + 1 :]
+    if op == "swap":
+        return p
+    if op == "insertion":
+        rest = p[:i] + p[i + 1 :]
+        return rest[:j] + [p[i]] + rest[j:]
+    return p[:lo] + p[lo : hi + 1][::-1] + p[hi + 1 :]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(IN_PLACE)), st.integers(1, 12), st.randoms(use_true_random=False))
+def test_in_place_moves_undo_and_equal_move(op, n, rnd):
+    # run_fis moves a member in place and moves it back, by the same
+    # operator with i and j exchanged, unless the candidate replaces it
+    p = list(range(n))
+    rnd.shuffle(p)
+    for i, j in itertools.product(range(n), repeat=2):
+        q = p.copy()
+        IN_PLACE[op](q, i, j)
+        assert q == sliced(op, p, i, j), (i, j)
+        assert tuple(q) == move(op, p, p, i, j)
+        IN_PLACE[op](q, j, i)
+        assert q == p, (i, j)
 
 
 def one_member(op, draws):

@@ -101,6 +101,22 @@ def test_packing_bound_of_bundled_instances_and_of_no_requirements():
     assert packing_bound(validate_instance("free", ["t0", "t1"], [])) == 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(0, 40), st.integers(1, 6))
+def test_packing_bound_is_the_searchs_root_bound(seed, n, m, most):
+    # FIS and SA stop on packing_bound, a greedy pass over the candidate
+    # masks; the search prunes at its root with _lower_bound over
+    # _bound_space, every requirement open and every test allowed.  The two
+    # must be one quantity, with masks wider than 64 bits too.
+    rng = random.Random(seed)
+    tests = [f"t{j}" for j in range(n)]
+    reqs = [(f"r{i}", rng.sample(tests, rng.randint(1, min(n, most)))) for i in range(m)]
+    inst = validate_instance("drawn", tests, reqs)
+    masks_b, req_b, near, _ = _bound_space(inst)
+    root = _lower_bound(req_b, masks_b, near, inst.full_mask, (1 << n) - 1)
+    assert packing_bound(inst) == root
+
+
 def test_small_benchmarks_match_exhaustive_search():
     for name in ("experiment-1", "experiment-2", "experiment-3"):
         inst = builtin(name)
