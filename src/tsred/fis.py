@@ -23,9 +23,15 @@ prefix is left as it is; when hi lies before the prefix's last test (hi at
 most own - 2, for a prefix of own tests), the tests before that last one are
 only permuted among themselves, so the first own - 1 positions still do not
 cover and the first own still do.  Either way the objective is the member's
-own and is not re-evaluated.  No permutation covers with fewer tests than the
-oracle's packing bound, so once the iteration's best and a member both sit
-on that floor, no move of the member can change either, and it is skipped.
+own and is not re-evaluated.
+
+No permutation covers with fewer tests than the oracle's packing bound, so
+once the best objective sits on that floor no iteration can change the best
+permutation or the history.  The run stops there (a start on the floor runs
+no iteration), and each iteration left records the best objective and the
+operator in force when the floor was reached; the controller is not
+consulted again.  Members on the floor are not skipped: with the stop, that
+could save work only in the iteration that reaches it.
 
 Members are lists.  Swap, insertion and reversal move a member in place, and
 move it back unless the candidate replaces it; crossover builds a new list.
@@ -79,8 +85,10 @@ def measure_diversification(
     x: Sequence[int], population: Sequence[Sequence[int]] | np.ndarray
 ) -> float:
     """Mean hamming distance from x to the population members, given as
-    sequences or as the rows of a 2-D int array.  The same float as summing
-    `hamming(x, p)` member by member: the same quotients, added in order."""
+    sequences or as the rows of a 2-D int array: the positions where x and a
+    member differ, counted over all members, divided by n x members.  The
+    count is an exact integer and the quotient is rounded once, so the float
+    is the correctly rounded ratio on every Python and platform."""
     if isinstance(population, np.ndarray) and population.ndim != 2:
         raise LengthMismatchError(f"population array is {population.ndim}-D, not 2-D")
     if len(population) == 0:
@@ -92,8 +100,7 @@ def measure_diversification(
             raise LengthMismatchError(f"lengths differ: {n} vs {length}")
     if not n:
         return 0.0
-    distances = (np.asarray(population) != x).sum(axis=1).tolist()
-    return sum([d / n for d in distances]) / len(distances)
+    return int(np.count_nonzero(np.asarray(population) != x)) / (n * len(population))
 
 
 def measure_intensification(x: Sequence[int], best: Sequence[int]) -> float:
@@ -235,7 +242,9 @@ def run_fis(instance: Instance, config: FISConfig | None = None, seed: int = 0) 
 
     history: list[int] = []
     op_log: list[str] = []
-    for t in range(cfg.max_iterations):
+    # The loop runs while the best lies above the floor; the padding after
+    # it records the iterations left.
+    for t in range(cfg.max_iterations if best_obj > floor else 0):
         op_log.append(current_op)
         iter_perm: tuple[int, ...] | None = None
         iter_obj = n + 1
@@ -254,8 +263,6 @@ def run_fis(instance: Instance, config: FISConfig | None = None, seed: int = 0) 
         end = used + size
         for k, i, j in zip(range(size), i_all[used:end], j_all[used:end]):
             member, own = population[k], objectives[k]
-            if own == iter_obj == floor:
-                continue  # no candidate can beat the member or the iteration's best
             if crossover:
                 candidate = order_crossover(member, population[mates[used + k]], i, j)
                 cand_obj = objective(instance, candidate)
@@ -281,6 +288,9 @@ def run_fis(instance: Instance, config: FISConfig | None = None, seed: int = 0) 
             elif not crossover:
                 apply(member, j, i)  # the same move with i and j exchanged undoes it
         used = end
+        if iter_obj == floor:  # the best reaches the floor, so the run stops
+            best_perm, best_obj = iter_perm, iter_obj
+            break
 
         # The controller keeps the operator iff its crisp decision is at least
         # 0.5; below, a different one is drawn uniformly from the rest.
@@ -305,4 +315,6 @@ def run_fis(instance: Instance, config: FISConfig | None = None, seed: int = 0) 
             others = [op for op in OPERATORS if op != current_op]
             current_op = others[int(rng.integers(len(others)))]
 
+    history += [best_obj] * (cfg.max_iterations - len(history))
+    op_log += [current_op] * (cfg.max_iterations - len(op_log))
     return FISResult(decode(instance, best_perm), tuple(history), tuple(op_log))

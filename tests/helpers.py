@@ -312,7 +312,10 @@ def fis_reference(instance: Instance, population_size=20, max_iterations=100, se
         inputs = {
             "quality": min(1.0, max(0.0, 0.5 + (previous - iter_obj) / (2 * n))),
             "intensification": 1.0 - _hamming(iter_perm, best_perm),
-            "diversification": sum(_hamming(iter_perm, p) for p in population) / population_size,
+            # mismatched positions over all members, divided once by n x members
+            "diversification": sum(
+                a != b for p in population for a, b in zip(iter_perm, p)
+            ) / (n * population_size),
         }
         if iter_obj < best_obj:
             best_perm, best_obj = iter_perm, iter_obj

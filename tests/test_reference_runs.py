@@ -4,22 +4,34 @@ run_fis takes its position draws a block of iterations at a time and
 rewinds the block when the operator switches, skips the evaluation of moves
 that leave the covering prefix alone and scans any other candidate's prefix
 only up to a bound; SA skips the evaluation of swaps past the prefix, and
-both move their permutations in place and back.  SA stops proposing once its
-best objective reaches the packing floor, and pads its history.
-Neither may change a result: for a given seed the solution, the history and
-the operator log must equal those of the plain loops, which evaluate every
-candidate.  The FIS reference draws one scalar
-at a time; the SA reference takes its swap positions in blocks of
-helpers.SA_BLOCK pairs, as the annealer does, from code of its own.
+both move their permutations in place and back.  Both stop once their best
+objective reaches the packing floor, and pad what they record.
+Neither may change a result: for a given seed the solution and the history
+must equal those of the plain loops, which evaluate every candidate and run
+the whole schedule.  So must FIS's operator log, through the iteration whose
+best first reaches the floor; after it FIS repeats that iteration's operator,
+where the reference goes on consulting the controller.  The FIS reference
+draws one scalar at a time; the SA reference takes its swap positions in
+blocks of helpers.SA_BLOCK pairs, as the annealer does, from code of its own.
 """
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from helpers import DECISION, always_change, fis_reference, sa_reference
+from helpers import (
+    DECISION,
+    always_change,
+    brute_minimum,
+    fis_reference,
+    packing_bound_naive,
+    random_instance,
+    sa_reference,
+)
 from tsred import FISConfig, SAParams, builtin, fis, run_fis, simulated_annealing, validate_instance
 from tsred.corpus import builtin_names
 from tsred.fuzzy import LinguisticVariable, Rule, RuleBase, Trapezoid
@@ -55,6 +67,13 @@ def change_when_worse() -> RuleBase:
     return RuleBase({"quality": quality}, DECISION, rules)
 
 
+def iterations_to_floor(instance, history) -> int:
+    """How many iterations run before the stop: through the first whose
+    history sits on the packing floor, else all of them."""
+    floor = packing_bound_naive(instance, set(range(instance.m)), set(range(instance.n)))
+    return history.index(floor) + 1 if floor in history else len(history)
+
+
 def assert_fis_matches(instance, config: FISConfig, seed: int):
     result = run_fis(instance, config, seed=seed)
     solution, history, operators = fis_reference(
@@ -62,7 +81,9 @@ def assert_fis_matches(instance, config: FISConfig, seed: int):
     )
     assert result.solution == solution
     assert result.history == history
-    assert result.operators == operators
+    s = iterations_to_floor(instance, history)
+    assert result.operators[:s] == operators[:s]
+    assert result.operators[s:] == operators[s - 1 : s] * (len(operators) - s)
     return result
 
 
@@ -110,9 +131,9 @@ def test_fis_matches_reference_when_every_iteration_switches(name):
     instance = EDGE[name] if name in EDGE else builtin(name)
     config = FISConfig(population_size=5, max_iterations=40, rule_base=always_change())
     for seed in range(1, 4):
-        result = run_fis(instance, config, seed=seed)
-        assert all(a != b for a, b in zip(result.operators, result.operators[1:]))
-        assert_fis_matches(instance, config, seed)
+        result = assert_fis_matches(instance, config, seed)
+        ops = result.operators[: iterations_to_floor(instance, result.history)]
+        assert all(a != b for a, b in zip(ops, ops[1:]))
 
 
 @pytest.mark.parametrize("name", ["experiment-4", "experiment-5", *EDGE])
@@ -120,6 +141,17 @@ def test_fis_matches_reference_when_switching_on_worse_iterations(name):
     instance = EDGE[name] if name in EDGE else builtin(name)
     for seed in range(1, 6):
         assert_fis_matches(instance, FISConfig(rule_base=change_when_worse()), seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 2**32 - 1), st.booleans())
+def test_fis_matches_reference_on_random_instances(rnd, seed, switching):
+    # most runs sit on the packing floor by iteration 0, about a fifth reach
+    # it later and about a sixth never do
+    instance = random_instance(rnd)
+    rule_base = always_change() if switching else None
+    config = FISConfig(population_size=6, max_iterations=15, rule_base=rule_base)
+    assert_fis_matches(instance, config, seed)
 
 
 def scripted(switches):
@@ -143,13 +175,18 @@ def scripted(switches):
         (fis.DRAW_ROWS + 1, 3),  # one iteration a block
     ],
 )
-def test_fis_rewinds_to_the_per_iteration_stream_at_any_switch(monkeypatch, tiny, size, iterations):
+def test_fis_rewinds_to_the_per_iteration_stream_at_any_switch(
+    monkeypatch, five_cycle, size, iterations
+):
+    # the floor lies below the minimum, so no run stops before its schedule ends
+    assert packing_bound_naive(five_cycle, set(range(5)), set(range(5))) == 2
+    assert brute_minimum(five_cycle) == 3
     schedules = [{t} for t in range(iterations)]
     schedules += [set(pair) for pair in itertools.combinations(range(min(iterations, 10)), 2)]
     for k, switches in enumerate(schedules):
         monkeypatch.setattr(fis, "infer", scripted(switches))
         monkeypatch.setattr(helpers, "infer", scripted(switches))
         config = FISConfig(population_size=size, max_iterations=iterations)
-        ops = assert_fis_matches(tiny, config, k).operators
+        ops = assert_fis_matches(five_cycle, config, k).operators
         changed = {t for t in range(iterations - 1) if ops[t] != ops[t + 1]}
         assert changed == {t for t in switches if t < iterations - 1}
