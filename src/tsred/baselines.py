@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .core import (
     essential_tests,
     greedy_fill,
     objective,
-    step_over,
+    position_rows,
     undominated,
 )
 from .oracle import packing_bound
@@ -105,7 +104,6 @@ def hgs(instance: Instance) -> list[int]:
 
 STOP_FLOOR = 0.001
 MAX_STEPS = 1_000_000  # most temperature steps one annealing run may take
-BLOCK = 256  # swap-position pairs drawn per rng.integers call
 
 
 @dataclass(frozen=True)
@@ -131,14 +129,6 @@ class SAResult:
     history: tuple[int, ...]  # best objective after each temperature step
 
 
-def _swap_positions(rng: np.random.Generator, n: int) -> Iterator[tuple[int, int]]:
-    """Endless distinct position pairs below n (n >= 2), drawn BLOCK pairs
-    at a time, so memory stays O(BLOCK) whatever the schedule's length."""
-    while True:
-        firsts, seconds = rng.integers((n, n - 1), size=(BLOCK, 2)).T.tolist()
-        yield from zip(firsts, step_over(firsts, seconds))
-
-
 def simulated_annealing(
     instance: Instance, params: SAParams | None = None, seed: int = 0
 ) -> SAResult:
@@ -150,9 +140,10 @@ def simulated_annealing(
     STOP_FLOOR (0.001), which for the default schedule is roughly 1.5e3
     steps.  The best permutation ever seen is decoded and returned.
 
-    The swap positions come from `_swap_positions`, BLOCK pairs per draw;
-    the acceptance draw `rng.random()` is taken one step at a time, only for
-    worsening moves, so it falls between the blocks in the random stream.
+    The swap positions come from `core.position_rows`, `core.BLOCK` pairs
+    per draw; the acceptance draw `rng.random()` is taken one step at a
+    time, only for worsening moves, so it falls between the blocks in the
+    random stream.
     A swap of positions lo < hi is not re-evaluated when lo lies at or past
     the covering prefix (lo >= objective) or hi before the prefix's last
     test (hi <= objective - 2): either way the first objective - 1 positions
@@ -178,7 +169,7 @@ def simulated_annealing(
     temperature = p.t_initial
     history: list[int] = []
     if best_obj > floor:  # never so with fewer than the two tests a swap needs
-        positions = _swap_positions(rng, n)
+        positions = position_rows(rng, n)
         while temperature > STOP_FLOOR:
             i, j = next(positions)
             current[i], current[j] = current[j], current[i]

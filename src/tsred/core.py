@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
+import numpy as np
 
 # The reducers by name, in table order: bench dispatches on these names and
 # a run report naming any other is refused.
@@ -275,14 +276,25 @@ def decode(instance: Instance, permutation: Sequence[int]) -> Solution:
     return Solution(perm, prefix_len, perm[:prefix_len])
 
 
-def step_over(firsts: Sequence[int], seconds: Sequence[int]) -> list[int]:
-    """Second positions distinct from the first ones, pair by pair: from a
-    draw i below n and a draw j below n - 1, j is moved one step up when it
-    reaches i, so it is uniform among the other n - 1 positions.
+BLOCK = 256  # rows of positions drawn per rng.integers call
 
-    SA applies it to a block of steps' draws, FIS to a block of members'.
+
+def position_rows(rng: np.random.Generator, n: int, *more: int) -> Iterator[tuple[int, ...]]:
+    """Endless rows (i, j, *extra) of random positions below n (n >= 2),
+    j != i, and each extra below its entry of `more`.
+
+    BLOCK rows come from one rng.integers call, so memory stays O(BLOCK)
+    however many rows a run takes, and they equal the scalar draws i below
+    n, j below n - 1, then each extra, taken one at a time row by row.  j is
+    moved one step up when it reaches i, so it is uniform among the other
+    n - 1 positions.  SA takes its swaps from these rows, FIS its members'
+    moves and mates.
     """
-    return [j + 1 if j >= i else j for i, j in zip(firsts, seconds)]
+    bounds = (n, n - 1, *more)
+    while True:
+        rows = rng.integers(bounds, size=(BLOCK, len(bounds)))
+        rows[:, 1] += rows[:, 1] >= rows[:, 0]
+        yield from zip(*rows.T.tolist())
 
 
 def reduction_percent(n: int, k: int) -> str:

@@ -7,23 +7,26 @@ iteration three search measures are computed from the iteration's best
 candidate, and the rule base decides whether to keep the current operator or
 swap it for a uniformly random different one.
 
-All randomness flows from one numpy PCG64 generator seeded by the run's seed,
-so runs are reproducible across platforms.  Position draws come a block of
-iterations at a time, in one `rng.integers` call on a full-shape bounds
-array (one row per member and iteration), which yields the same values as
-drawing them one at a time, member by member and iteration by iteration.  A
-block covers one iteration at the start and after a switch, and twice as
-many as the last one while the operator stays, up to DRAW_ROWS rows.  When
-the controller switches operator before a block is used up, the generator is
-set back to where the block began and redraws only the rows used, so the
-switch draw, and all that follow, land where per-iteration draws put them.
-Swap, insertion and reversal touch only positions lo = min(i, j) through
-hi = max(i, j).  When lo lies at or past the member's covering prefix, that
-prefix is left as it is; when hi lies before the prefix's last test (hi at
-most own - 2, for a prefix of own tests), the tests before that last one are
-only permuted among themselves, so the first own - 1 positions still do not
-cover and the first own still do.  Either way the objective is the member's
-own and is not re-evaluated.
+All randomness flows from numpy PCG64 generators seeded by the run's seed,
+so runs are reproducible across platforms.  The run's generator, seeded by
+`np.random.SeedSequence(seed)`, draws the starting population, the first
+operator and each switch.  The moves draw from a generator of their own,
+seeded by that sequence's first spawned child.  Each member of each
+iteration, in member order, takes the next row (i, j, mate) of
+`core.position_rows` (i and j distinct positions, mate below the population
+size), whether or not its move is scored, so no operator or switch changes
+which row a member takes.  Swap exchanges positions i and j, insertion moves
+position i to j, reversal reverses lo = min(i, j) through hi = max(i, j),
+and crossover keeps lo..hi and fills the other slots in the order of member
+mate.
+
+Swap, insertion and reversal touch only positions lo through hi.  When lo
+lies at or past the member's covering prefix, that prefix is left as it is;
+when hi lies before the prefix's last test (hi at most own - 2, for a prefix
+of own tests), the tests before that last one are only permuted among
+themselves, so the first own - 1 positions still do not cover and the first
+own still do.  Either way the objective is the member's own and is not
+re-evaluated.
 
 No permutation covers with fewer tests than the oracle's packing bound, so
 once the best objective sits on that floor no iteration can change the best
@@ -47,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Instance, ParameterError, Solution, check_seed, decode, objective, step_over
+from .core import Instance, ParameterError, Solution, check_seed, decode, objective, position_rows
 from .fuzzy import RuleBase, default_rule_base, infer
 from .oracle import packing_bound
 
@@ -57,9 +60,6 @@ OPERATORS: tuple[str, ...] = ("swap", "insertion", "reversal", "crossover")
 # evaluations (population_size x max_iterations) one run may ask for.
 MEASURES = frozenset({"quality", "intensification", "diversification"})
 MAX_EVALUATIONS = 1_000_000
-# Most rows of draws (one per member and iteration) one rng.integers call
-# makes, so a population of this size or more draws one iteration at a time.
-DRAW_ROWS = 1024
 
 
 class LengthMismatchError(ValueError):
@@ -138,57 +138,6 @@ def order_crossover(p: Sequence[int], mate: Sequence[int], i: int, j: int) -> li
     return rest[:i] + segment + rest[i:]
 
 
-def move(op: str, p: Sequence[int], mate: Sequence[int], i: int, j: int) -> tuple[int, ...]:
-    """The named operator applied to a copy of p at positions i and j.
-
-    swap exchanges p[i] and p[j], insertion moves p[i] to position j,
-    reversal reverses p[min(i, j)..max(i, j)] and crossover keeps p[i..j]
-    in place and fills the other slots in mate order.  Swap, insertion and
-    reversal are the `IN_PLACE` moves, and leave every position before
-    min(i, j) as it is.
-    """
-    if op == "crossover":
-        return tuple(order_crossover(p, mate, i, j))
-    if op not in IN_PLACE:
-        raise ValueError(f"unknown operator: {op!r}")
-    q = list(p)
-    IN_PLACE[op](q, i, j)
-    return tuple(q)
-
-
-def _position_bounds(op: str, n: int) -> tuple[int, ...]:
-    """Upper bounds of the position draws one application of `op` to a
-    permutation of n makes, in draw order; none when n < 2."""
-    if n < 2:
-        return ()
-    return (n, n) if op == "insertion" else (n, n - 1)
-
-
-def _member_positions(op: str, draws: np.ndarray) -> tuple[list[int], list[int]]:
-    """Every member's positions for `move`, as lists i and j, from a
-    (members, k) array of draws whose last two columns lie below
-    `_position_bounds` (crossover's mate draws come first).
-
-    Insertion takes its two draws as they are.  The other operators make j
-    distinct from i by `core.step_over`; reversal and crossover then order
-    the pair.  Without position draws (a single position) each member gets
-    (0, 0), which moves nothing.
-    """
-    if draws.shape[1] < 2:
-        zeros = [0] * len(draws)
-        return zeros, zeros
-    firsts, seconds = draws[:, -2:].T.tolist()
-    if op == "insertion":
-        return firsts, seconds
-    seconds = step_over(firsts, seconds)
-    if op == "swap":
-        return firsts, seconds
-    return (
-        [j if j < i else i for i, j in zip(firsts, seconds)],
-        [i if j < i else j for i, j in zip(firsts, seconds)],
-    )
-
-
 @dataclass(frozen=True)
 class FISConfig:
     population_size: int = 20
@@ -219,7 +168,8 @@ def run_fis(instance: Instance, config: FISConfig | None = None, seed: int = 0) 
     check_seed(seed)
     cfg = config or FISConfig()
     rb = cfg.rule_base or default_rule_base()
-    rng = np.random.default_rng(seed)
+    seeds = np.random.SeedSequence(seed)
+    rng = np.random.default_rng(seeds)
     n = instance.n
     size = cfg.population_size
 
@@ -230,46 +180,29 @@ def run_fis(instance: Instance, config: FISConfig | None = None, seed: int = 0) 
     best_idx = min(range(len(population)), key=objectives.__getitem__)
     best_perm, best_obj = tuple(population[best_idx]), objectives[best_idx]
     current_op = OPERATORS[int(rng.integers(len(OPERATORS)))]
-    # Per operator, the bounds of the longest block's rows of draws
-    # (crossover's mate draw, then the move's position draws).
-    longest = max(1, DRAW_ROWS // size)  # iterations
-    bounds: dict[str, np.ndarray] = {}
-    span = 1  # iterations the next block covers
-    # The current block's move positions (and crossover's mates), one per
-    # row, and how many of its rows the iterations so far took.
-    i_all: list[int] = []
-    used = 0
+    # One row (i, j, mate) per member and iteration; never drawn when n < 2,
+    # since a single test starts on the floor.
+    positions = position_rows(np.random.default_rng(seeds.spawn(1)[0]), n, size)
 
     history: list[int] = []
     op_log: list[str] = []
     # The loop runs while the best lies above the floor; the padding after
     # it records the iterations left.
-    for t in range(cfg.max_iterations if best_obj > floor else 0):
+    for _ in range(cfg.max_iterations if best_obj > floor else 0):
         op_log.append(current_op)
         iter_perm: tuple[int, ...] | None = None
         iter_obj = n + 1
         crossover = current_op == "crossover"
         apply = IN_PLACE.get(current_op)
-        if used == len(i_all):
-            if current_op not in bounds:
-                row = ((size,) if crossover else ()) + _position_bounds(current_op, n)
-                bounds[current_op] = np.full((longest * size, len(row)), row, np.int64)
-            saved = rng.bit_generator.state
-            block = min(span, cfg.max_iterations - t) * size
-            draws = rng.integers(bounds[current_op][:block])
-            mates = draws[:, 0].tolist() if crossover else []
-            i_all, j_all = _member_positions(current_op, draws)
-            used, span = 0, min(2 * span, longest)
-        end = used + size
-        for k, i, j in zip(range(size), i_all[used:end], j_all[used:end]):
+        for k, (i, j, mate) in zip(range(size), positions):
             member, own = population[k], objectives[k]
+            lo, hi = (i, j) if i < j else (j, i)
             if crossover:
-                candidate = order_crossover(member, population[mates[used + k]], i, j)
+                candidate = order_crossover(member, population[mate], lo, hi)
                 cand_obj = objective(instance, candidate)
             else:
                 # The member itself is moved, and moved back below unless
                 # the candidate replaces it.
-                lo, hi = (i, j) if i < j else (j, i)
                 if lo < own <= hi + 1:
                     apply(member, i, j)
                     cand_obj = objective(instance, member)
@@ -287,7 +220,6 @@ def run_fis(instance: Instance, config: FISConfig | None = None, seed: int = 0) 
                 rows[k] = candidate
             elif not crossover:
                 apply(member, j, i)  # the same move with i and j exchanged undoes it
-        used = end
         if iter_obj == floor:  # the best reaches the floor, so the run stops
             best_perm, best_obj = iter_perm, iter_obj
             break
@@ -306,12 +238,6 @@ def run_fis(instance: Instance, config: FISConfig | None = None, seed: int = 0) 
             best_perm, best_obj = iter_perm, iter_obj
         history.append(best_obj)
         if crisp < 0.5:
-            if used < len(i_all):
-                # Rewind the block and replay only the rows used, so that
-                # the switch draw comes where per-iteration draws put it.
-                rng.bit_generator.state = saved
-                rng.integers(bounds[current_op][:used])
-            i_all, used, span = [], 0, 1
             others = [op for op in OPERATORS if op != current_op]
             current_op = others[int(rng.integers(len(others)))]
 

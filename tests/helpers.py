@@ -260,29 +260,29 @@ def fis_reference(instance: Instance, population_size=20, max_iterations=100, se
                   rule_base=None):
     """The FIS search drawn one scalar at a time, every candidate evaluated.
 
-    Per member: crossover's mate draw, then the operator's position draws
-    (none below two tests); after each iteration the measures go to the
-    fuzzy controller, which is shared with the package and tested on its
-    own.  Returns (solution, history, operators).
+    Two generators: the run's, seeded by `seed`, draws the population, the
+    first operator and each switch; the moves' generator, seeded by the
+    seed's first child sequence, draws each member's i, j (j steps over i)
+    and mate, in that order, whatever the operator (nothing below two
+    tests).  After each iteration the measures go to the fuzzy controller,
+    which is shared with the package and tested on its own.  Returns
+    (solution, history, operators).
     """
     ops = ("swap", "insertion", "reversal", "crossover")
     rule_base = rule_base or default_rule_base()
     rng = np.random.default_rng(seed)
+    moves = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     n = instance.n
     length = prefix_length(instance)
 
-    def mutate(op, p, mate):
+    def mutate(op, p, i, j, mate):
         q = list(p)
-        if n < 2:
-            return tuple(q)
         if op == "swap":
-            i, j = _distinct_pair(rng, n)
             q[i], q[j] = q[j], q[i]
         elif op == "insertion":
-            src = int(rng.integers(n))
-            q.insert(int(rng.integers(n)), q.pop(src))
+            q.insert(j, q.pop(i))
         else:
-            i, j = sorted(_distinct_pair(rng, n))
+            i, j = sorted((i, j))
             segment = q[i : j + 1]
             if op == "reversal":
                 q[i : j + 1] = segment[::-1]
@@ -302,8 +302,12 @@ def fis_reference(instance: Instance, population_size=20, max_iterations=100, se
         previous = best_obj
         iter_perm, iter_obj = None, n + 1
         for k in range(population_size):
-            mate = population[int(rng.integers(population_size))] if op == "crossover" else None
-            candidate = mutate(op, population[k], mate)
+            if n < 2:
+                candidate = population[k]  # no two positions to draw
+            else:
+                i, j = _distinct_pair(moves, n)
+                mate = population[int(moves.integers(population_size))]
+                candidate = mutate(op, population[k], i, j, mate)
             value = length(candidate)
             if value < iter_obj:
                 iter_perm, iter_obj = candidate, value

@@ -226,7 +226,7 @@ class TestSimulatedAnnealing:
         # About 7.6e4 steps.  The history list and tuple take about 1.2 MB;
         # drawing every step's positions at once (2.5-17 MB peak in trials:
         # one int64 array, or its list form) or listing every temperature
-        # (3.7 MB) crosses the 2 MB line, drawing BLOCK pairs at a time does not.
+        # (3.7 MB) crosses the 2 MB line, drawing core.BLOCK pairs at a time does not.
         # Any two tests of this triangle cover it, one cannot, and its packing
         # floor is 1, so the run never stops on the floor and proposes at every step.
         triangle = [("r1", ["a", "b"]), ("r2", ["b", "c"]), ("r3", ["a", "c"])]

@@ -1,6 +1,8 @@
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,15 @@ from tsred import (
     reduction_percent,
     validate_instance,
 )
-from tsred.core import coverage, essential_tests, greedy_fill, holders, step_over, undominated
+from tsred.core import (
+    BLOCK,
+    coverage,
+    essential_tests,
+    greedy_fill,
+    holders,
+    position_rows,
+    undominated,
+)
 
 
 def test_instance_basics(tiny):
@@ -135,38 +145,64 @@ def test_decode_matches_naive_prefix_scan(seed):
     assert is_cover(inst, sol.selected)
 
 
+class BlockDraws:
+    """Stands in for a numpy Generator whose integers() returns given rows,
+    padded with copies of the last to a whole block."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def integers(self, highs, size):
+        assert size == (BLOCK, len(highs))
+        assert all(0 <= v < high for row in self.rows for v, high in zip(row, highs))
+        return np.array(self.rows + self.rows[-1:] * (BLOCK - len(self.rows)), np.int64)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(2, 300), st.data())
-def test_step_over_maps_the_second_draws_onto_the_other_positions(n, data):
+@given(st.integers(2, BLOCK + 1), st.data())
+def test_position_rows_map_the_second_draws_onto_the_other_positions(n, data):
     # every second draw j below n - 1 lands on a different position below n
     # other than i, so a uniform j gives a uniform second position
     i = data.draw(st.integers(0, n - 1))
-    seconds = step_over([i] * (n - 1), range(n - 1))
-    assert len(seconds) == n - 1
+    rows = position_rows(BlockDraws([[i, j] for j in range(n - 1)]), n)
+    seconds = [j for _, j in itertools.islice(rows, n - 1)]
     assert set(seconds) == set(range(n)) - {i}
 
 
-class ScriptedDraws:
-    """Stands in for a numpy Generator whose integers() returns given values."""
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 40),
+    st.lists(st.integers(1, 50), max_size=2),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 2 * BLOCK + 1),
+)
+def test_position_rows_equal_scalar_draws_row_by_row(n, more, seed, count):
+    # i below n, j below n - 1 stepped over i, then each extra, one scalar
+    # draw at a time; the rows may run into a second or third block
+    rows = list(itertools.islice(position_rows(np.random.default_rng(seed), n, *more), count))
+    rng = np.random.default_rng(seed)
+    expected = [
+        _distinct_pair(rng, n) + tuple(int(rng.integers(high)) for high in more)
+        for _ in range(count)
+    ]
+    assert rows == expected
+    assert all(type(v) is int for row in rows for v in row)
+    assert all(i != j for i, j, *_ in rows)
+    assert all(0 <= v < high for row in rows for v, high in zip(row, (n, n, *more)))
 
-    def __init__(self, values):
-        self.values = iter(values)
 
-    def integers(self, high):
-        value = next(self.values)
-        assert 0 <= value < high
-        return value
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(2, 40), st.data())
-def test_step_over_equals_the_scalar_rule_pair_by_pair(n, data):
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2))
-    pairs = data.draw(st.lists(pair, max_size=50))
-    rng = ScriptedDraws([v for ij in pairs for v in ij])
-    firsts = [i for i, _ in pairs]
-    got = list(zip(firsts, step_over(firsts, [j for _, j in pairs])))
-    assert got == [_distinct_pair(rng, n) for _ in pairs]
+@pytest.mark.parametrize("n", [2, 3, 48])
+def test_position_rows_keep_the_annealers_stream(n):
+    # SA's swaps: one rng.integers call on (n, n - 1) per BLOCK pairs, j
+    # stepped over i, and nothing else drawn, so an acceptance draw after
+    # a block lands where it did
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    rows = position_rows(rng, n)
+    for _ in range(2):
+        block = [next(rows) for _ in range(BLOCK)]
+        pairs = ref.integers((n, n - 1), size=(BLOCK, 2)).tolist()
+        assert block == [(i, j + 1 if j >= i else j) for i, j in pairs]
+        assert rng.random() == ref.random()
 
 
 def test_greedy_fill_stops_when_the_pool_covers_no_more():

@@ -4,17 +4,20 @@ The reference loops in helpers.py share the fuzzy controller with the
 package, so they cannot notice a change in `infer`; and they run on the
 numpy that is installed, so they cannot notice a change in numpy's stream.
 These digests can: each is the SHA-256 of `repr(result)` for a bundled
-instance at seeds 1, 2 and 3 under the default settings.  The FIS digests
-predate the memoised `infer`; the SA digests are those of the annealer that
-draws its swap positions in blocks of `baselines.BLOCK` pairs.  Under the
-default rule base a run keeps one operator for long stretches, so the FIS
-digests are pinned under `helpers.always_change()` as well, where every
-operator's batched position draw (crossover's with its mate column) runs on
-experiments 4 and 5.  A FIS run stops once its best reaches the packing
-floor and repeats, to the end of its operator log, the operator in force
-then.  On experiments 2 and 3, and on experiment-1 at seed 1, the best sits
-on the floor by the end of iteration 0, before the controller is consulted,
-so there the two rule bases pin the same digest.
+instance at seeds 1, 2 and 3 under the default settings.  FIS takes its
+move positions from a generator of its own, spawned from the run's seed;
+the SA digests are those of the annealer that draws its swap positions in
+blocks of `core.BLOCK` pairs.  Both take those blocks from
+`core.position_rows`.  Under the default rule base a run keeps one operator
+for long stretches, so the FIS digests are pinned under
+`helpers.always_change()` as well, where every operator runs on experiments
+4 and 5.  A FIS run stops once its best reaches the packing floor and
+repeats, to the end of its operator log, the operator in force then.  On
+experiments 2 and 3, and on experiment-1 at seed 1, the best sits on the
+floor by the end of iteration 0, before the controller is consulted, so
+there the two rule bases pin the same digest.  The five-cycle fixture's
+floor (2) lies below its minimum (3), so under `always_change()` each of its
+runs switches after every one of its 100 iterations.
 
 The report and summary digests pin the bytes a user sees: `write_report` of
 a two-run report at seed 3 for every (bundled instance, algorithm) pair,
@@ -47,12 +50,12 @@ SEEDS = (1, 2, 3)
 FIS_DIGESTS = {
     "experiment-1": (
         "b9165e94b69237c38727aa2cabc7a1a1f1fd8dbb24a0250b5f7cc0da05f8b754",
-        "b2c9f9e6cc3abc8233052df7f69a74003d74444040ddc02e6edeb5ee7f8c886d",
-        "0cc4998b8e4ddf6bef36fe87dd7e5fe5f7e6d3fed9cbf2dd726261b63e6ad9df",
+        "360164c7eea9927e213c62588e520028d3388a96ce1c263cfd4d93de650b101c",
+        "4f1acbc2b3a8ddc95c50990421036f520fd99fc928bcef191f9fc80051134bd8",
     ),
     "experiment-2": (
         "9397d57cf3e1e9e4a2474688b1d32531410580f49da47901630bca0996c4d7c4",
-        "9e08406662f86309771f84c1ab8dde4c1c5cf6b8fa90b07a3755dbbc948793e9",
+        "8736f35953b06f1c5b268b53ca0a9006c53b192041f682d97ad2cbb22f9c89ae",
         "6dba4869ee01485904424350a70a7ca535816e4dace6455586689170060452af",
     ),
     "experiment-3": (
@@ -61,26 +64,26 @@ FIS_DIGESTS = {
         "4a7519578bf5e985a4b7845fecae25a36b491383c78444a33488bcc2e82ac0e4",
     ),
     "experiment-4": (
-        "932665e791be53c89637363057ae5dbb7229c50673cac19fa114dc429c06c05a",
-        "07ee835aecec4e1a8ace09fb2cdf1cada3b3a44b0caaf384c644bde59d0b2e7f",
-        "7ab2b06400e2653f267edeebbc611276568b2559bc4e884da4fbfce7f60fc3bd",
+        "05f1f2e6be5860a3279cbebbc1a25548903ba372d95623fdac04113a0fcfe505",
+        "cb11369a27be8fabe029f86fc244353e4ca5a9e8775aa83eb4844165f8ef5659",
+        "15a01abf4999d582a158795d47b12b72e39d026b1cf9f17e4f3c6d04cea5980a",
     ),
     "experiment-5": (
-        "71b8d11cc70deec3a3a28452c531b61fb46a77e7b12010aa22eeae411b12d958",
-        "8bc032249cf89369b4424b64d0f132161b16191926550baed5aab38f3b3ab91b",
-        "57ae34d57cce8466173a08aeb51677fb63491ab334fdb242e76eb1822c229a75",
+        "53cedaea50f78e8934b8c7ee266129e415b086a048c9fb9232a5e28f8233bfb2",
+        "41cff797bab819a793a2bb0a505f0bbbe1c4c65f439d31c1c94f5c4e55f834b5",
+        "8ab6daccd8f0ba6e5ecc0cc7d2c6b04f888a385252db63600488a460ccd6e7f9",
     ),
 }
 
 FIS_ALWAYS_CHANGE_DIGESTS = {
     "experiment-1": (
         "b9165e94b69237c38727aa2cabc7a1a1f1fd8dbb24a0250b5f7cc0da05f8b754",
-        "9a72ba87dd61468b5d867db61037039c5662e1e66131f3ecb917aaf130805d9a",
-        "f34f34deda162f3742c8b8b9f1a40997afc900956b47fc271cf9e374054ab6c7",
+        "2ea15d1142948e19fd9c1e22b129f3d12a4c65a5fdc3244fb3575f93bf1cd100",
+        "002d0cfa8d513752357bcc40daa0248546ff2f0001227d48e1576c27bc96fb50",
     ),
     "experiment-2": (
         "9397d57cf3e1e9e4a2474688b1d32531410580f49da47901630bca0996c4d7c4",
-        "9e08406662f86309771f84c1ab8dde4c1c5cf6b8fa90b07a3755dbbc948793e9",
+        "8736f35953b06f1c5b268b53ca0a9006c53b192041f682d97ad2cbb22f9c89ae",
         "6dba4869ee01485904424350a70a7ca535816e4dace6455586689170060452af",
     ),
     "experiment-3": (
@@ -89,16 +92,22 @@ FIS_ALWAYS_CHANGE_DIGESTS = {
         "4a7519578bf5e985a4b7845fecae25a36b491383c78444a33488bcc2e82ac0e4",
     ),
     "experiment-4": (
-        "e93e5d81ebd646499294313d087d7a4a5c3e4a82323ae3f8c47f66dd2beb6b58",
-        "1acd63c466a313510ce4b7b6b97e84db4dec0e2fbfc2caa6a4d8e36445bbdc96",
-        "23a4df2fb55b7170dad291b80934d3a842954e5c77b556d077e9f466b5231a9a",
+        "ac3f1178a253ca764a8e55240885be68a5456b0452639925c88becde60061533",
+        "406e9458de5c24f7a8a2ff5fc244938bebc751194c3936518e46261030c40482",
+        "049ebcca9400aa41c515ab4f08fd8b98a0348b902f1654d6f578d07c98fd96e3",
     ),
     "experiment-5": (
-        "ff5bf6176a303b7e64804d25ba2c9d034a9fa43cb7fd647a2c52e52bd0a18fe8",
-        "a82c4f54c0950b8b6dfd301df7f967e4d9ccc352f356f11dbc3a8189a681ec84",
-        "d7521891c73bba82132d20e4a165d0a4bcd6553eb2232b886c52290e3f73cb1a",
+        "329c132f84fa58fbe0708d5888edb83c458c12b439f8c43a3efb8cad81279c36",
+        "113c5cdc26298eba03433ae3664527a11f6366c06bb165407e449ff3bbe56dd8",
+        "280fa4db21257c3fbc733cf934d077b4ffa9debe8915390867d510cad271fa31",
     ),
 }
+
+FIVE_CYCLE_ALWAYS_CHANGE_DIGESTS = (
+    "c5c0c40ef1abf73e1216ef739f71a18a4d74b962f6cf1eb84916d644ca2d5985",
+    "1ad009abf10245ab6fcdbaaa909d3da80f4d204171a734f285f4c4028b7a5c55",
+    "1c8c146a5d94329b971e34b1b1accb7f7b568441eb5a87bd3cc45555e8a66274",
+)
 
 SA_DIGESTS = {
     "experiment-1": (
@@ -130,7 +139,7 @@ SA_DIGESTS = {
 
 REPORT_DIGESTS = {
     "experiment-1": {
-        "fis": "9c4edf586ccd784ca3475f8e0a7ee30d80862c5f1b5258b879755640a4f76e3e",
+        "fis": "19df6be4996b3d2101dbfaa8d43237232e966bdc020ddf6e7ee27bf2a3d74152",
         "sa": "5558dd1cff650965487ce335ad53409dcf3f85d14ab1805d7d9ac80433cd6fdb",
         "ge": "137b3807929d2df106d69aa64a6c8992b98a1608d5f4c0f77728d84581d70dc6",
         "gre": "53677c3c258a236370a4dc401f8fe1728e520bb18487e3f420be8b51b1cba6dd",
@@ -151,14 +160,14 @@ REPORT_DIGESTS = {
         "hgs": "38202f683ff734a37f4803ff3935bd14f9e273aea498ae57b12d175eb9c83a56",
     },
     "experiment-4": {
-        "fis": "4604c36ed1bd2823d40dc617e9bb447888c3fca69456c49c6d0bdbe3d00425ec",
+        "fis": "22c562071871261d6692524918edf62b50e4f159132000ef911cbfe1c1ab0fbf",
         "sa": "fc8362d97ff8bfb669277365f67dc987d8b1e18a5309b006792080aa717187e0",
         "ge": "f753acea25248c952b2b9cfc7041b55b27c29c8f8e90f345da2eed43c95db0c5",
         "gre": "d02962970c94f2e7cf2821d1a89646fb9b974b84d7e3a8d71278200afe03c6a5",
         "hgs": "8981110df6cadce292457a159b5e6aa108558193fe5cb42a7283733e5339e4ef",
     },
     "experiment-5": {
-        "fis": "c9a183b6548da6477ad7f9e80cf2a4817b66657267846e1090cad554b973ed9d",
+        "fis": "0bb956d3ea7f1dc9b6b690734f6dd3c148cfab39a000f37e82bbae630f33ae73",
         "sa": "1109bef6f3a3d837154533733db357525c4157fb7a4b14dfc0299ed6ef4258a7",
         "ge": "3db84b5563ff60fa1d81c93a6eb41afcbd14fe9491a902d0f31d1dc39cf90e0f",
         "gre": "0ea4b7e0b254d16f10f5f3ddce537099f967d5511397aa8e6c25b6503a20fb0b",
@@ -166,8 +175,8 @@ REPORT_DIGESTS = {
     },
 }
 
-SUMMARY_DIGEST = "29ae9e747af4f33bfe2c365d9bbd5902f46ac897670bfdd2fc817fee94f4bb78"
-TABLES_DIGEST = "af50b425e5ea4b963ae3bf48a0c8fa55b2cc2f524213e6060877f99466620ad0"
+SUMMARY_DIGEST = "847cb949233beb81d7aa5b6a7ff2c3baf10511fe4f9124933a897a5228ca5129"
+TABLES_DIGEST = "40ac1105379af834810dc437a8c70a8a32bc9e6e93e503f8acaa242d5eb090e2"
 
 
 def digest(result) -> str:
@@ -187,6 +196,13 @@ def test_fis_outputs_under_always_change_are_pinned(name):
     config = FISConfig(rule_base=always_change())
     got = tuple(digest(run_fis(instance, config, seed=seed)) for seed in SEEDS)
     assert got == FIS_ALWAYS_CHANGE_DIGESTS[name]
+
+
+def test_fis_outputs_under_always_change_are_pinned_on_the_five_cycle(five_cycle):
+    config = FISConfig(rule_base=always_change())
+    results = [run_fis(five_cycle, config, seed=seed) for seed in SEEDS]
+    assert all(a != b for r in results for a, b in zip(r.operators, r.operators[1:]))
+    assert tuple(map(digest, results)) == FIVE_CYCLE_ALWAYS_CHANGE_DIGESTS
 
 
 @pytest.mark.parametrize("name", SA_DIGESTS)

@@ -1,18 +1,19 @@
 """FIS and SA against their plain-loop references in helpers.py.
 
-run_fis takes its position draws a block of iterations at a time and
-rewinds the block when the operator switches, skips the evaluation of moves
-that leave the covering prefix alone and scans any other candidate's prefix
-only up to a bound; SA skips the evaluation of swaps past the prefix, and
-both move their permutations in place and back.  Both stop once their best
-objective reaches the packing floor, and pad what they record.
+run_fis takes its move positions core.BLOCK rows at a time from a generator
+of its own, skips the evaluation of moves that leave the covering prefix
+alone and scans any other candidate's prefix only up to a bound; SA skips
+the evaluation of swaps past the prefix, and both move their permutations in
+place and back.  Both stop once their best objective reaches the packing
+floor, and pad what they record.
 Neither may change a result: for a given seed the solution and the history
 must equal those of the plain loops, which evaluate every candidate and run
 the whole schedule.  So must FIS's operator log, through the iteration whose
 best first reaches the floor; after it FIS repeats that iteration's operator,
 where the reference goes on consulting the controller.  The FIS reference
-draws one scalar at a time; the SA reference takes its swap positions in
-blocks of helpers.SA_BLOCK pairs, as the annealer does, from code of its own.
+draws one scalar at a time from two generators, the run's and the moves';
+the SA reference takes its swap positions in blocks of helpers.SA_BLOCK
+pairs, as the annealer does, from code of its own.
 """
 
 import itertools
@@ -161,20 +162,12 @@ def scripted(switches):
     return lambda rb, inputs: 0.0 if next(calls) in switches else 1.0
 
 
-# A block covers one iteration at the start and after a switch, and twice as
-# many as the last while the operator stays, up to fis.DRAW_ROWS rows.  One
-# switch at each iteration, and two at each pair of the first ten, put a
-# switch at iteration 0, on the last iteration of a block, on the first of
-# the next, inside one, and twice in a row.
-@pytest.mark.parametrize(
-    "size, iterations",
-    [
-        (2, 20),  # blocks of 1, 2, 4 and 8 iterations
-        (7, 20),  # the same, 7 rows an iteration
-        (fis.DRAW_ROWS // 2, 5),  # blocks of one or two iterations
-        (fis.DRAW_ROWS + 1, 3),  # one iteration a block
-    ],
-)
+# core.position_rows draws core.BLOCK (256) rows at a time.  Two and seven
+# members take whole iterations from one block; with 129 members an
+# iteration straddles a block's end, and with 257 every iteration does.
+# One switch at each iteration, and two at each pair of the first ten, put
+# a switch at iteration 0, at every other and twice in a row.
+@pytest.mark.parametrize("size, iterations", [(2, 20), (7, 20), (129, 5), (257, 3)])
 def test_fis_rewinds_to_the_per_iteration_stream_at_any_switch(
     monkeypatch, five_cycle, size, iterations
 ):
