@@ -143,20 +143,12 @@ def simulated_annealing(
     The swap positions come from `core.position_rows`, `core.BLOCK` pairs
     per draw; the acceptance draw `rng.random()` is taken one step at a
     time, only for worsening moves, so it falls between the blocks in the
-    random stream.
-    A swap of positions lo < hi is not re-evaluated when lo lies at or past
-    the covering prefix (lo >= objective) or hi before the prefix's last
-    test (hi <= objective - 2): either way the first objective - 1 positions
-    still do not cover and the first objective positions still do, so delta
-    is 0 and the move is taken, as a scan would decide.  The permutation is
-    swapped in place and swapped back when a proposal is rejected.
-
-    No cover is smaller than `oracle.packing_bound`, so once the best
-    objective sits on that floor no step can change the best permutation or
-    the history.  The run then stops proposing, and each temperature step
-    left in the schedule records the best objective, as the full schedule
-    would: `history` has one entry per step either way.  With fewer than two
-    tests the start is already on the floor.
+    random stream.  A swap that `core.objective`'s skip rule leaves unscanned
+    has delta 0 and is taken, as a scan would decide.  The permutation is
+    swapped in place and swapped back when a proposal is rejected.  Once
+    the best objective sits on `oracle.packing_bound`'s floor, a step
+    proposes nothing and only records the best objective, so `history`
+    keeps one entry per step.
     """
     check_seed(seed)
     p = params or SAParams()
@@ -168,26 +160,20 @@ def simulated_annealing(
     best, best_obj = tuple(current), current_obj
     temperature = p.t_initial
     history: list[int] = []
-    if best_obj > floor:  # never so with fewer than the two tests a swap needs
-        positions = position_rows(rng, n)
-        while temperature > STOP_FLOOR:
+    positions = position_rows(rng, n)
+    while temperature > STOP_FLOOR:
+        if best_obj > floor:  # never so with fewer than the two tests a swap needs
             i, j = next(positions)
             current[i], current[j] = current[j], current[i]
-            # a swap wholly past the covering prefix or before its last test keeps the objective
-            lo, hi = (i, j) if i < j else (j, i)
+            lo, hi = (i, j) if i < j else (j, i)  # core.objective's skip rule
             cand_obj = objective(instance, current) if lo < current_obj <= hi + 1 else current_obj
             delta = cand_obj - current_obj
             if delta <= 0 or rng.random() < math.exp(-delta / temperature):
                 current_obj = cand_obj
                 if current_obj < best_obj:
                     best, best_obj = tuple(current), current_obj
-                    if best_obj == floor:
-                        break  # the loop below records this step and the rest
             else:
                 current[i], current[j] = current[j], current[i]
-            history.append(best_obj)
-            temperature *= p.alpha
-    while temperature > STOP_FLOOR:
         history.append(best_obj)
         temperature *= p.alpha
     return SAResult(decode(instance, best), tuple(history))

@@ -254,6 +254,14 @@ def objective(instance: Instance, permutation: Sequence[int]) -> int:
     The permutation must contain every test index exactly once; the full test
     set is a cover by the instance invariants, so a covering prefix always
     exists.  With no requirements the empty prefix already covers.
+
+    Skip rule.  A move that touches only positions lo..hi of a permutation
+    whose objective is `own` needs a scan iff lo < own <= hi + 1.  When
+    lo >= own the first own positions are untouched; when hi <= own - 2 the
+    tests before position own - 1 are only permuted among themselves.
+    Either way the first own - 1 positions still do not cover and the first
+    own still do, so the objective stays own.  FIS applies this rule to its
+    swap, insertion and reversal moves, SA to its swaps.
     """
     masks = instance.test_masks
     full = instance.full_mask

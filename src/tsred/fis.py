@@ -20,21 +20,13 @@ position i to j, reversal reverses lo = min(i, j) through hi = max(i, j),
 and crossover keeps lo..hi and fills the other slots in the order of member
 mate.
 
-Swap, insertion and reversal touch only positions lo through hi.  When lo
-lies at or past the member's covering prefix, that prefix is left as it is;
-when hi lies before the prefix's last test (hi at most own - 2, for a prefix
-of own tests), the tests before that last one are only permuted among
-themselves, so the first own - 1 positions still do not cover and the first
-own still do.  Either way the objective is the member's own and is not
-re-evaluated.
-
-No permutation covers with fewer tests than the oracle's packing bound, so
-once the best objective sits on that floor no iteration can change the best
-permutation or the history.  The run stops there (a start on the floor runs
-no iteration), and each iteration left records the best objective and the
-operator in force when the floor was reached; the controller is not
-consulted again.  Members on the floor are not skipped: with the stop, that
-could save work only in the iteration that reaches it.
+Swap, insertion and reversal touch only positions lo through hi, so a member
+is scanned only when `core.objective`'s skip rule says the move can change
+its objective.  Once the best objective sits on `oracle.packing_bound`'s
+floor the run stops (a start on the floor runs no iteration, draws no move
+and builds no iteration state); each iteration left records the best
+objective and the operator in force when the floor was reached, and the
+controller is not consulted again.
 
 Members are lists.  Swap, insertion and reversal move a member in place, and
 move it back unless the candidate replaces it; crossover builds a new list.
@@ -176,70 +168,70 @@ def run_fis(instance: Instance, config: FISConfig | None = None, seed: int = 0) 
     population = [rng.permutation(n).tolist() for _ in range(size)]
     objectives = [objective(instance, p) for p in population]
     floor = packing_bound(instance)  # no objective lies below it
-    rows = np.array(population)  # the population as an int array, for diversification
     best_idx = min(range(len(population)), key=objectives.__getitem__)
     best_perm, best_obj = tuple(population[best_idx]), objectives[best_idx]
     current_op = OPERATORS[int(rng.integers(len(OPERATORS)))]
-    # One row (i, j, mate) per member and iteration; never drawn when n < 2,
-    # since a single test starts on the floor.
-    positions = position_rows(np.random.default_rng(seeds.spawn(1)[0]), n, size)
 
     history: list[int] = []
     op_log: list[str] = []
-    # The loop runs while the best lies above the floor; the padding after
-    # it records the iterations left.
-    for _ in range(cfg.max_iterations if best_obj > floor else 0):
-        op_log.append(current_op)
-        iter_perm: tuple[int, ...] | None = None
-        iter_obj = n + 1
-        crossover = current_op == "crossover"
-        apply = IN_PLACE.get(current_op)
-        for k, (i, j, mate) in zip(range(size), positions):
-            member, own = population[k], objectives[k]
-            lo, hi = (i, j) if i < j else (j, i)
-            if crossover:
-                candidate = order_crossover(member, population[mate], lo, hi)
-                cand_obj = objective(instance, candidate)
-            else:
-                # The member itself is moved, and moved back below unless
-                # the candidate replaces it.
-                if lo < own <= hi + 1:
-                    apply(member, i, j)
-                    cand_obj = objective(instance, member)
-                elif own < iter_obj:
-                    # lo >= own or hi <= own - 2: the objective stays the member's own
-                    apply(member, i, j)
-                    cand_obj = own
+    # The iterations run while the best lies above the floor (never so with a
+    # single test); the padding after them records the iterations left.
+    if best_obj > floor:
+        rows = np.array(population)  # the population as an int array, for diversification
+        # one row (i, j, mate) per member and iteration
+        positions = position_rows(np.random.default_rng(seeds.spawn(1)[0]), n, size)
+        for _ in range(cfg.max_iterations):
+            op_log.append(current_op)
+            iter_perm: tuple[int, ...] | None = None
+            iter_obj = n + 1
+            crossover = current_op == "crossover"
+            apply = IN_PLACE.get(current_op)
+            for k, (i, j, mate) in zip(range(size), positions):
+                member, own = population[k], objectives[k]
+                lo, hi = (i, j) if i < j else (j, i)
+                if crossover:
+                    candidate = order_crossover(member, population[mate], lo, hi)
+                    cand_obj = objective(instance, candidate)
                 else:
-                    continue  # the candidate scores own, which beats neither
-                candidate = member
-            if cand_obj < iter_obj:
-                iter_perm, iter_obj = tuple(candidate), cand_obj
-            if cand_obj < own:
-                population[k], objectives[k] = candidate, cand_obj
-                rows[k] = candidate
-            elif not crossover:
-                apply(member, j, i)  # the same move with i and j exchanged undoes it
-        if iter_obj == floor:  # the best reaches the floor, so the run stops
-            best_perm, best_obj = iter_perm, iter_obj
-            break
+                    # The member itself is moved, and moved back below unless
+                    # the candidate replaces it.
+                    if lo < own <= hi + 1:
+                        apply(member, i, j)
+                        cand_obj = objective(instance, member)
+                    elif own < iter_obj:
+                        # lo >= own or hi <= own - 2: the objective stays the member's own
+                        apply(member, i, j)
+                        cand_obj = own
+                    else:
+                        continue  # the candidate scores own, which beats neither
+                    candidate = member
+                if cand_obj < iter_obj:
+                    iter_perm, iter_obj = tuple(candidate), cand_obj
+                if cand_obj < own:
+                    population[k], objectives[k] = candidate, cand_obj
+                    rows[k] = candidate
+                elif not crossover:
+                    apply(member, j, i)  # the same move with i and j exchanged undoes it
+            if iter_obj == floor:  # the best reaches the floor, so the run stops
+                best_perm, best_obj = iter_perm, iter_obj
+                break
 
-        # The controller keeps the operator iff its crisp decision is at least
-        # 0.5; below, a different one is drawn uniformly from the rest.
-        crisp = infer(
-            rb,
-            {
-                "quality": measure_quality(best_obj, iter_obj, n),
-                "intensification": measure_intensification(iter_perm, best_perm),
-                "diversification": measure_diversification(iter_perm, rows),
-            },
-        )
-        if iter_obj < best_obj:
-            best_perm, best_obj = iter_perm, iter_obj
-        history.append(best_obj)
-        if crisp < 0.5:
-            others = [op for op in OPERATORS if op != current_op]
-            current_op = others[int(rng.integers(len(others)))]
+            # The controller keeps the operator iff its crisp decision is at least
+            # 0.5; below, a different one is drawn uniformly from the rest.
+            crisp = infer(
+                rb,
+                {
+                    "quality": measure_quality(best_obj, iter_obj, n),
+                    "intensification": measure_intensification(iter_perm, best_perm),
+                    "diversification": measure_diversification(iter_perm, rows),
+                },
+            )
+            if iter_obj < best_obj:
+                best_perm, best_obj = iter_perm, iter_obj
+            history.append(best_obj)
+            if crisp < 0.5:
+                others = [op for op in OPERATORS if op != current_op]
+                current_op = others[int(rng.integers(len(others)))]
 
     history += [best_obj] * (cfg.max_iterations - len(history))
     op_log += [current_op] * (cfg.max_iterations - len(op_log))

@@ -129,7 +129,14 @@ def packing_bound(instance: Instance) -> int:
     disjoint from the OR of those taken so far.  This is the family
     `_lower_bound` walks over `_bound_space` with every requirement open and
     every test allowed, without building the bound space.  No cover is
-    smaller; 0 with no requirements."""
+    smaller; 0 with no requirements.
+
+    Floor stop.  So no permutation's objective lies below this bound, and
+    once a search's best objective sits on it no later step can change the
+    best permutation.  FIS and SA stop searching there and record the best
+    objective for each iteration or temperature step left, so their
+    results equal those of the full schedule.  With fewer than two tests
+    every start sits on the floor."""
     bound = taken = 0
     for cands in sorted(instance.candidate_masks, key=int.bit_count):
         if not cands & taken:

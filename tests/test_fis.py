@@ -223,6 +223,21 @@ def test_objective_calls_per_run_are_pinned(monkeypatch, name, calls):
     assert len(counted) == calls
 
 
+def test_a_start_on_the_floor_draws_no_move(monkeypatch):
+    # seed 1 on experiment-1: the best starting member already sits on the
+    # packing floor, so the run needs no move generator
+    instance = builtin("experiment-1")
+    expected = run_fis(instance, seed=1)
+
+    def no_moves(*args):
+        raise AssertionError("a run that starts on the floor asked for moves")
+
+    monkeypatch.setattr(fis, "position_rows", no_moves)
+    res = run_fis(instance, seed=1)
+    assert res == expected
+    assert res.history == (3,) * 100 == (packing_bound(instance),) * 100
+
+
 def test_run_stops_consulting_the_controller_at_the_floor(monkeypatch):
     # seed 28 reaches experiment-3's packing floor of 3 in iteration 3 of 100:
     # the controller is consulted after iterations 0-2 only, and the history

@@ -1,11 +1,12 @@
 """FIS and SA against their plain-loop references in helpers.py.
 
 run_fis takes its move positions core.BLOCK rows at a time from a generator
-of its own, skips the evaluation of moves that leave the covering prefix
-alone and scans any other candidate's prefix only up to a bound; SA skips
-the evaluation of swaps past the prefix, and both move their permutations in
-place and back.  Both stop once their best objective reaches the packing
-floor, and pad what they record.
+of its own, and SA its swap positions from the same block generator.  Both
+leave unscanned the moves that core.objective's skip rule (scan iff
+lo < own <= hi + 1) shows cannot change the objective, score every other
+candidate with core.objective, and move their permutations in place and
+back.  Both stop once their best objective reaches the packing floor, and
+pad what they record.
 Neither may change a result: for a given seed the solution and the history
 must equal those of the plain loops, which evaluate every candidate and run
 the whole schedule.  So must FIS's operator log, through the iteration whose
@@ -168,9 +169,7 @@ def scripted(switches):
 # One switch at each iteration, and two at each pair of the first ten, put
 # a switch at iteration 0, at every other and twice in a row.
 @pytest.mark.parametrize("size, iterations", [(2, 20), (7, 20), (129, 5), (257, 3)])
-def test_fis_rewinds_to_the_per_iteration_stream_at_any_switch(
-    monkeypatch, five_cycle, size, iterations
-):
+def test_fis_switches_never_move_member_positions(monkeypatch, five_cycle, size, iterations):
     # the floor lies below the minimum, so no run stops before its schedule ends
     assert packing_bound_naive(five_cycle, set(range(5)), set(range(5))) == 2
     assert brute_minimum(five_cycle) == 3
