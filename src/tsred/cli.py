@@ -10,7 +10,9 @@ import argparse
 import functools
 import inspect
 import os
+import stat
 import sys
+import tempfile
 from pathlib import Path
 
 from . import oracle
@@ -79,13 +81,54 @@ def _check_output(output: str | None) -> None:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
-        try:
-            Path(output).write_text(text)
-        except OSError as exc:
-            raise _UsageError(f"cannot write output: {exc}") from exc
-    else:
+    """Print `text`, or make it the whole content of `output`: by `_replace`
+    where it can, otherwise by writing `output` directly."""
+    if not output:
         sys.stdout.write(text)
+        return
+    try:
+        if not _replace(output, text):
+            with open(output, "w") as file:
+                file.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write output: {exc}") from exc
+
+
+def _replace(output: str, text: str) -> bool:
+    """Replace a regular or missing file `output` (through a symlink, its
+    target) with a temporary file written beside it with the old file's
+    permission bits, so a write that fails leaves the old bytes; the
+    temporary file is removed on any failure.  Return False, leaving
+    everything as it was, for anything else (/dev/null, a pipe reached
+    through /dev/stdout) and for a file in a directory that does not let the
+    caller create or rename files, such as another user's file in /tmp."""
+    try:
+        status = os.stat(output)  # follows symlinks and /dev/fd links alike
+    except FileNotFoundError:  # what a new file gets: read-write less the umask
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        if not stat.S_ISREG(status.st_mode):
+            return False
+        mode = stat.S_IMODE(status.st_mode)
+    target = os.path.realpath(output) if os.path.islink(output) else output
+    try:
+        fd, temporary = tempfile.mkstemp(dir=os.path.dirname(target) or ".", suffix=".tmp")
+    except PermissionError:
+        return False
+    try:
+        with open(fd, "w") as file:
+            file.write(text)
+        os.chmod(temporary, mode)
+        os.replace(temporary, target)
+    except PermissionError:
+        os.remove(temporary)
+        return False
+    except BaseException:
+        os.remove(temporary)
+        raise
+    return True
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import cycle
 from tsred import validate_instance
 
 
@@ -22,7 +23,4 @@ def tiny():
 def five_cycle():
     """Requirement ri needs ti or t(i+1 mod 5): minimum 3, packing bound 2,
     so no FIS run reaches the floor and stops early."""
-    tests = [f"t{j}" for j in range(5)]
-    return validate_instance(
-        "five-cycle", tests, [(f"r{i}", [tests[i], tests[(i + 1) % 5]]) for i in range(5)]
-    )
+    return cycle(5)

@@ -110,6 +110,15 @@ def branch_requirement_naive(instance: Instance, uncovered: set[int], allowed: s
     return min(uncovered, key=lambda i: (usable[i], i))
 
 
+def cycle(n: int) -> Instance:
+    """Requirement ri needs ti or t(i+1 mod n): for odd n the minimum covers
+    are the n sets of (n+1)/2 tests that leave no two neighbours out."""
+    tests = [f"t{j}" for j in range(n)]
+    return validate_instance(
+        f"cycle-{n}", tests, [(f"r{i}", [tests[i], tests[(i + 1) % n]]) for i in range(n)]
+    )
+
+
 def random_instance(rng: random.Random, max_tests: int = 16, max_requirements: int = 12) -> Instance:
     """Random solvable instance: every requirement names at least one test."""
     n = rng.randint(1, max_tests)
@@ -335,11 +344,12 @@ DECISION = LinguisticVariable(
 )
 
 
-def always_change() -> RuleBase:
-    """A rule base that concludes Change whatever the inputs, so the operator
-    switch draws one value after every iteration."""
+def always(decision: str) -> RuleBase:
+    """A rule base that concludes `decision` whatever the inputs: under
+    "Change" the operator switch draws one value after every iteration,
+    under "Maintain" the first operator stays in force."""
     anything = LinguisticVariable("quality", {"Any": Trapezoid(0, 0, 1, 1)})
-    return RuleBase({"quality": anything}, DECISION, (Rule.of({"quality": "Any"}, "Change"),))
+    return RuleBase({"quality": anything}, DECISION, (Rule.of({"quality": "Any"}, decision),))
 
 
 SA_BLOCK = 256  # swap-position pairs per rng.integers call, as in the annealer

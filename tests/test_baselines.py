@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_minimum, covers_naive, ge_naive, gre_naive, hgs_naive, random_instance
+from helpers import (
+    brute_minimum,
+    covers_naive,
+    cycle,
+    ge_naive,
+    gre_naive,
+    hgs_naive,
+    random_instance,
+)
 from tsred import (
     FISConfig,
     ParameterError,
@@ -229,8 +237,7 @@ class TestSimulatedAnnealing:
         # (3.7 MB) crosses the 2 MB line, drawing core.BLOCK pairs at a time does not.
         # Any two tests of this triangle cover it, one cannot, and its packing
         # floor is 1, so the run never stops on the floor and proposes at every step.
-        triangle = [("r1", ["a", "b"]), ("r2", ["b", "c"]), ("r3", ["a", "c"])]
-        inst = validate_instance("triangle", ["a", "b", "c"], triangle)
+        inst = cycle(3)
         params = SAParams(alpha=0.999, t_initial=1e30)
         tracemalloc.start()
         try:

@@ -1,6 +1,7 @@
 import argparse
 import functools
 import json
+import resource
 import subprocess
 import sys
 
@@ -149,6 +150,66 @@ def test_failed_run_leaves_output_as_it_was(capsys, tmp_path, monkeypatch, argv,
         main([*argv, "--output", str(target)])
     capsys.readouterr()
     assert (target.read_bytes() if target.exists() else None) == before
+
+
+def test_write_that_fails_partway_leaves_output_as_it_was(tmp_path):
+    # a 1024-byte file size limit stops the write of a 40-run report midway
+    target = tmp_path / "old.json"
+    target.write_bytes(b'{"kept": true}\n')
+    proc = subprocess.run(
+        [sys.executable, "-m", "tsred.cli", "solve", "--instance", "builtin:experiment-4",
+         "--algorithm", "ge", "--runs", "40", "--output", str(target)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cannot write output")
+    assert target.read_bytes() == b'{"kept": true}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
+
+
+def test_output_through_a_symlink_replaces_its_target_and_keeps_its_mode(capsys, tmp_path):
+    target = tmp_path / "out.json"
+    target.write_text("old")
+    target.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert run_cli(capsys, "solve", "--instance", EXP1, "--output", str(link))[:2] == (0, "")
+    assert link.is_symlink()
+    assert parse_report(target.read_text()).instance == "experiment-1"
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "out.json"]
+
+
+@pytest.mark.parametrize("refused", ["mkstemp", "replace"])
+def test_output_that_cannot_be_replaced_is_written_directly(capsys, tmp_path, monkeypatch,
+                                                            refused):
+    # a directory the caller cannot write, or another user's file in a sticky directory
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    module = cli.tempfile if refused == "mkstemp" else cli.os
+    monkeypatch.setattr(module, refused, refuse)
+    target = tmp_path / "out.json"
+    target.write_text("old")
+    assert run_cli(capsys, "solve", "--instance", EXP1, "--output", str(target))[:2] == (0, "")
+    assert parse_report(target.read_text()).instance == "experiment-1"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_output_to_a_pipe_through_dev_stdout():
+    proc = subprocess.run(
+        [sys.executable, "-m", "tsred.cli", "solve", "--instance", EXP1,
+         "--output", "/dev/stdout"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert parse_report(proc.stdout).instance == "experiment-1"
 
 
 # rule bases that parse as JSON but are refused: one over an input FIS does

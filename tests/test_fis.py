@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_minimum, prefix_length
+from helpers import always, brute_minimum, cycle, prefix_length
 from tsred import (
     OPERATORS,
     FISConfig,
@@ -259,22 +259,10 @@ def test_move_single_element_is_noop():
         assert moved(op, (0,), (0,), 0, 0) == (0,)
 
 
-def _constant_rule_base(decision: str) -> RuleBase:
-    anything = LinguisticVariable("quality", {"Any": Trapezoid(0, 0, 1, 1)})
-    output = LinguisticVariable(
-        "decision", {"Change": Trapezoid(0, 0, 0.3, 0.5), "Maintain": Trapezoid(0.5, 0.7, 1, 1)}
-    )
-    return RuleBase(
-        inputs={"quality": anything},
-        output=output,
-        rules=(Rule.of({"quality": "Any"}, decision),),
-    )
-
-
 def test_run_switches_operator_on_change(five_cycle):
     # the floor lies below the minimum, so the run takes all 200 iterations
     assert packing_bound(five_cycle) == 2 < brute_minimum(five_cycle) == 3
-    rb = _constant_rule_base("Change")
+    rb = always("Change")
     res = run_fis(five_cycle, FISConfig(population_size=4, max_iterations=200, rule_base=rb), seed=0)
     ops = res.operators
     assert all(a != b for a, b in zip(ops, ops[1:]))
@@ -321,18 +309,18 @@ def test_run_finds_tiny_minimum(tiny):
     assert set(res.solution.selected) == {0, 2}  # t1 and t3, the unique minimum
 
 
-def test_run_respects_custom_rule_base(tiny):
-    rb = _constant_rule_base("Maintain")
-    res = run_fis(tiny, FISConfig(population_size=4, max_iterations=10, rule_base=rb), seed=3)
+def test_run_respects_custom_rule_base(five_cycle):
+    rb = always("Maintain")
+    res = run_fis(five_cycle, FISConfig(population_size=4, max_iterations=10, rule_base=rb), seed=3)
     assert len(set(res.operators)) == 1  # operator never changes under Maintain
 
 
-def test_select_operator_keeps_on_maintain(tiny):
-    rb = _constant_rule_base("Maintain")
+def test_first_operator_follows_the_seed_under_maintain(five_cycle):
+    rb = always("Maintain")
     firsts = set()
     config = FISConfig(population_size=4, max_iterations=20, rule_base=rb)
     for seed in range(8):
-        operators = run_fis(tiny, config, seed=seed).operators
+        operators = run_fis(five_cycle, config, seed=seed).operators
         assert len(set(operators)) == 1  # operator never changes under Maintain
         firsts.add(operators[0])
     assert len(firsts) > 1  # the seed's first draw picks the operator in force
@@ -345,8 +333,7 @@ def test_run_memory_stays_flat_for_a_large_population():
     # It peaks at about 3.1 MB under Python 3.11 and numpy 2.4, nearly all of
     # it the population; the bound leaves 20% over that.  Drawing a whole
     # iteration's rows at once peaks at about 5.3 MB.
-    triangle = [("r1", ["a", "b"]), ("r2", ["b", "c"]), ("r3", ["a", "c"])]
-    inst = validate_instance("triangle", ["a", "b", "c"], triangle)
+    inst = cycle(3)
     config = FISConfig(population_size=20_000, max_iterations=2)
     run_fis(inst, FISConfig(population_size=4, max_iterations=2), seed=3)  # lazy set-up first
     tracemalloc.start()

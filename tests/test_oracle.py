@@ -12,6 +12,7 @@ from helpers import (
     brute_minimum,
     brute_minimum_covers,
     covers_naive,
+    cycle,
     implied_naive,
     packing_bound_naive,
     random_instance,
@@ -204,18 +205,9 @@ def test_covers_are_sorted_lexicographically():
     assert covers == sorted(covers)
 
 
-def odd_cycle(n: int):
-    """Requirement i needs test i or test i+1 (mod n): for odd n the minimum
-    covers are the n sets of (n+1)/2 tests that leave no two neighbours out."""
-    tests = [f"t{j}" for j in range(n)]
-    return validate_instance(
-        f"cycle-{n}", tests, [(f"r{i}", [tests[i], tests[(i + 1) % n]]) for i in range(n)]
-    )
-
-
 def test_more_than_64_tests_solved_exactly():
     n = 65
-    inst = odd_cycle(n)
+    inst = cycle(n)
     best = minimum_cover(inst)
     assert best.complete
     assert best.minimum_size == (n + 1) // 2

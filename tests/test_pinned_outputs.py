@@ -1,23 +1,13 @@
-"""FIS and SA outputs pinned by SHA-256 digest.
+"""FIS and SA outputs, reports, summaries and tables pinned by SHA-256 digest.
 
 The reference loops in helpers.py share the fuzzy controller with the
-package, so they cannot notice a change in `infer`; and they run on the
-numpy that is installed, so they cannot notice a change in numpy's stream.
-These digests can: each is the SHA-256 of `repr(result)` for a bundled
-instance at seeds 1, 2 and 3 under the default settings.  FIS takes its
-move positions from a generator of its own, spawned from the run's seed;
-the SA digests are those of the annealer that draws its swap positions in
-blocks of `core.BLOCK` pairs.  Both take those blocks from
-`core.position_rows`.  Under the default rule base a run keeps one operator
-for long stretches, so the FIS digests are pinned under
-`helpers.always_change()` as well, where every operator runs on experiments
-4 and 5.  A FIS run stops once its best reaches the packing floor and
-repeats, to the end of its operator log, the operator in force then.  On
-experiments 2 and 3, and on experiment-1 at seed 1, the best sits on the
-floor by the end of iteration 0, before the controller is consulted, so
-there the two rule bases pin the same digest.  The five-cycle fixture's
-floor (2) lies below its minimum (3), so under `always_change()` each of its
-runs switches after every one of its 100 iterations.
+package and run on the installed numpy, so they cannot notice a change in
+`infer` or in numpy's stream; these digests can.  Each FIS or SA digest is
+that of `repr(result)` for a bundled instance at seeds 1, 2 and 3 under the
+default settings.  The default rule base keeps one operator for long
+stretches, so FIS is pinned under `helpers.always("Change")` as well, also on
+the five-cycle fixture, whose packing floor (2) lies below its minimum (3),
+so that its runs never stop early.
 
 The report and summary digests pin the bytes a user sees: `write_report` of
 a two-run report at seed 3 for every (bundled instance, algorithm) pair,
@@ -32,7 +22,7 @@ import itertools
 
 import pytest
 
-from helpers import always_change
+from helpers import always
 from tsred import (
     ALGORITHMS,
     FISConfig,
@@ -193,13 +183,13 @@ def test_fis_outputs_are_pinned(name):
 @pytest.mark.parametrize("name", FIS_ALWAYS_CHANGE_DIGESTS)
 def test_fis_outputs_under_always_change_are_pinned(name):
     instance = builtin(name)
-    config = FISConfig(rule_base=always_change())
+    config = FISConfig(rule_base=always("Change"))
     got = tuple(digest(run_fis(instance, config, seed=seed)) for seed in SEEDS)
     assert got == FIS_ALWAYS_CHANGE_DIGESTS[name]
 
 
 def test_fis_outputs_under_always_change_are_pinned_on_the_five_cycle(five_cycle):
-    config = FISConfig(rule_base=always_change())
+    config = FISConfig(rule_base=always("Change"))
     results = [run_fis(five_cycle, config, seed=seed) for seed in SEEDS]
     assert all(a != b for r in results for a, b in zip(r.operators, r.operators[1:]))
     assert tuple(map(digest, results)) == FIVE_CYCLE_ALWAYS_CHANGE_DIGESTS

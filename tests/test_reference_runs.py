@@ -1,20 +1,13 @@
 """FIS and SA against their plain-loop references in helpers.py.
 
-run_fis takes its move positions core.BLOCK rows at a time from a generator
-of its own, and SA its swap positions from the same block generator.  Both
-leave unscanned the moves that core.objective's skip rule (scan iff
-lo < own <= hi + 1) shows cannot change the objective, score every other
-candidate with core.objective, and move their permutations in place and
-back.  Both stop once their best objective reaches the packing floor, and
-pad what they record.
-Neither may change a result: for a given seed the solution and the history
-must equal those of the plain loops, which evaluate every candidate and run
-the whole schedule.  So must FIS's operator log, through the iteration whose
-best first reaches the floor; after it FIS repeats that iteration's operator,
-where the reference goes on consulting the controller.  The FIS reference
-draws one scalar at a time from two generators, the run's and the moves';
-the SA reference takes its swap positions in blocks of helpers.SA_BLOCK
-pairs, as the annealer does, from code of its own.
+The package skips moves that cannot change the objective, moves permutations
+in place, draws positions in blocks and stops at the packing floor.  The
+references score every candidate and run the whole schedule; FIS's draws one
+scalar at a time, SA's takes blocks of helpers.SA_BLOCK pairs from code of
+its own.  None of that may change a result: for a given seed the solution
+and the history must equal the reference's, and so must FIS's operator log
+through the iteration whose best first reaches the floor (after it FIS
+repeats that iteration's operator).
 """
 
 import itertools
@@ -27,7 +20,7 @@ from hypothesis import strategies as st
 import helpers
 from helpers import (
     DECISION,
-    always_change,
+    always,
     brute_minimum,
     fis_reference,
     packing_bound_naive,
@@ -131,7 +124,7 @@ def test_fis_and_sa_match_reference_on_edge_instances(name):
 @pytest.mark.parametrize("name", ["experiment-4", *EDGE])
 def test_fis_matches_reference_when_every_iteration_switches(name):
     instance = EDGE[name] if name in EDGE else builtin(name)
-    config = FISConfig(population_size=5, max_iterations=40, rule_base=always_change())
+    config = FISConfig(population_size=5, max_iterations=40, rule_base=always("Change"))
     for seed in range(1, 4):
         result = assert_fis_matches(instance, config, seed)
         ops = result.operators[: iterations_to_floor(instance, result.history)]
@@ -151,7 +144,7 @@ def test_fis_matches_reference_on_random_instances(rnd, seed, switching):
     # most runs sit on the packing floor by iteration 0, about a fifth reach
     # it later and about a sixth never do
     instance = random_instance(rnd)
-    rule_base = always_change() if switching else None
+    rule_base = always("Change") if switching else None
     config = FISConfig(population_size=6, max_iterations=15, rule_base=rule_base)
     assert_fis_matches(instance, config, seed)
 
